@@ -73,10 +73,10 @@ func BenchmarkIPCRoundTrip(b *testing.B) {
 // warm image by default; BenchmarkCampaignThroughputColdBoot measures
 // the same campaign with a full boot per run.
 func BenchmarkCampaignThroughput(b *testing.B) {
-	benchmarkCampaignThroughput(b)
+	benchmarkCampaignThroughput(b, faultinject.Exec{})
 }
 
-func benchmarkCampaignThroughput(b *testing.B) {
+func benchmarkCampaignThroughput(b *testing.B, exec faultinject.Exec) {
 	profile, err := faultinject.Profile(42)
 	if err != nil {
 		b.Fatal(err)
@@ -91,6 +91,7 @@ func benchmarkCampaignThroughput(b *testing.B) {
 			SamplesPerSite: 1,
 			MaxRuns:        24,
 			Workers:        1,
+			Exec:           exec,
 		}, profile)
 		runs = res.Runs + res.Untriggered
 	}

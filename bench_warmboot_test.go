@@ -68,15 +68,13 @@ func BenchmarkWarmFork(b *testing.B) {
 // with warm forking disabled: every run pays a full boot, the
 // historical baseline the snapshot/fork plane is measured against.
 func BenchmarkCampaignThroughputColdBoot(b *testing.B) {
-	prev := faultinject.SetColdBootDefault(true)
-	defer faultinject.SetColdBootDefault(prev)
-	benchmarkCampaignThroughput(b)
+	benchmarkCampaignThroughput(b, faultinject.Exec{ColdBoot: true})
 }
 
 // armedRunPlan builds the single-fault plan and warm plane the armed-run
 // benchmarks share, with the ladder fully walked and every snapshot the
 // plan needs captured before the timer starts.
-func armedRunPlan(b *testing.B) (faultinject.CampaignConfig, []faultinject.Injection, *faultinject.ArmedRunner) {
+func armedRunPlan(b *testing.B, exec faultinject.Exec) (faultinject.CampaignConfig, []faultinject.Injection, *faultinject.ArmedRunner) {
 	profile, err := faultinject.Profile(42)
 	if err != nil {
 		b.Fatal(err)
@@ -88,6 +86,7 @@ func armedRunPlan(b *testing.B) (faultinject.CampaignConfig, []faultinject.Injec
 		SamplesPerSite: 1,
 		MaxRuns:        24,
 		Workers:        1,
+		Exec:           exec,
 	}
 	plan := faultinject.PlanCampaign(cfg, profile)
 	if len(plan) == 0 {
@@ -110,9 +109,7 @@ func armedRunPlan(b *testing.B) (faultinject.CampaignConfig, []faultinject.Injec
 // per run) it yields the Amdahl split of campaign time recorded in
 // BENCH_baseline.json.
 func BenchmarkArmedRun(b *testing.B) {
-	prev := faultinject.SetNoElideDefault(true)
-	defer faultinject.SetNoElideDefault(prev)
-	cfg, plan, runner := armedRunPlan(b)
+	cfg, plan, runner := armedRunPlan(b, faultinject.Exec{NoElide: true})
 	defer runner.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -130,9 +127,7 @@ func BenchmarkArmedRun(b *testing.B) {
 // booting cold — the full boot + whole-suite cost BenchmarkArmedRun's
 // ladder fork amortizes away.
 func BenchmarkArmedRunColdBoot(b *testing.B) {
-	prev := faultinject.SetColdBootDefault(true)
-	defer faultinject.SetColdBootDefault(prev)
-	cfg, plan, runner := armedRunPlan(b)
+	cfg, plan, runner := armedRunPlan(b, faultinject.Exec{ColdBoot: true})
 	defer runner.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -148,9 +143,7 @@ func BenchmarkArmedRunColdBoot(b *testing.B) {
 // ns/op is fork + pre-convergence prefix; the gap to BenchmarkArmedRun
 // is the elided tail.
 func BenchmarkArmedRunElided(b *testing.B) {
-	prev := faultinject.SetNoElideDefault(false)
-	defer faultinject.SetNoElideDefault(prev)
-	cfg, plan, runner := armedRunPlan(b)
+	cfg, plan, runner := armedRunPlan(b, faultinject.Exec{})
 	defer runner.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

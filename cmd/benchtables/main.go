@@ -12,12 +12,11 @@
 // historical serial path). Campaign runs fork from the snapshot ladder
 // of a warm pathfinder machine by default; -snapcache bounds the
 // ladder's snapshot cache in bytes (negative: boot-barrier snapshot
-// only), and -coldboot (or OSIRIS_COLD_BOOT=1) boots every run from
-// scratch instead — same tables, historical setup cost. Warm-served
-// runs splice the pathfinder's recorded suffix when their state
-// fingerprint matches a ladder rung; -noelide (or OSIRIS_NO_ELIDE=1)
-// pins every run to full suffix execution — same tables, the elision
-// bit-identity oracle. -list prints
+// only), and -coldboot boots every run from scratch instead — same
+// tables, historical setup cost. Warm-served runs splice the
+// pathfinder's recorded suffix when their state fingerprint matches a
+// ladder rung; -noelide pins every run to full suffix execution — same
+// tables, the elision bit-identity oracle. -list prints
 // the section keys accepted by -only and exits. -json writes a
 // machine-readable report with per-section wall-clock and process
 // allocation statistics alongside the table data.
@@ -47,7 +46,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "concurrent simulated machines (0 = one per CPU, 1 = serial)")
 		coldBoot   = flag.Bool("coldboot", false, "boot every campaign run from scratch instead of forking a warm image")
 		noElide    = flag.Bool("noelide", false, "execute every run's suffix in full instead of splicing the pathfinder tail on fingerprint match (the elision bit-identity oracle)")
-		snapCache  = flag.String("snapcache", "", "snapshot-ladder cache budget in bytes, with optional KiB/MiB/GiB suffix (empty: OSIRIS_SNAPSHOT_CACHE or built-in default; negative: boot-barrier snapshot only)")
+		snapCache  = flag.String("snapcache", "", "snapshot-ladder cache budget in bytes, with optional KiB/MiB/GiB suffix (empty: built-in default; negative: boot-barrier snapshot only)")
 		list       = flag.Bool("list", false, "print the section keys accepted by -only and exit")
 		jsonPath   = flag.String("json", "", "write a machine-readable report to this file")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -60,23 +59,14 @@ func main() {
 		}
 		return
 	}
-	if err := core.SnapshotCacheEnvError(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchtables:", err)
-		os.Exit(2)
-	}
-	if *coldBoot {
-		faultinject.SetColdBootDefault(true)
-	}
-	if *noElide {
-		faultinject.SetNoElideDefault(true)
-	}
+	exec := faultinject.Exec{ColdBoot: *coldBoot, NoElide: *noElide}
 	if *snapCache != "" {
 		budget, err := core.ParseByteSize(*snapCache)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchtables: -snapcache:", err)
 			os.Exit(2)
 		}
-		faultinject.SetSnapshotCacheDefault(budget)
+		exec.SnapshotCacheBytes = budget
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -91,7 +81,7 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	err := run(*scaleName, *seed, *only, *workers, *jsonPath)
+	err := run(*scaleName, *seed, *only, *workers, exec, *jsonPath)
 	if *memProfile != "" {
 		if werr := writeHeapProfile(*memProfile); werr != nil && err == nil {
 			err = werr
@@ -156,7 +146,7 @@ type report struct {
 	NumGC      uint32 `json:"num_gc"`
 }
 
-func run(scaleName string, seed uint64, only string, workers int, jsonPath string) error {
+func run(scaleName string, seed uint64, only string, workers int, exec faultinject.Exec, jsonPath string) error {
 	var sc eval.Scale
 	switch scaleName {
 	case "quick":
@@ -168,6 +158,7 @@ func run(scaleName string, seed uint64, only string, workers int, jsonPath strin
 	}
 	sc.Seed = seed
 	sc.Workers = workers
+	sc.Exec = exec
 
 	valid := make(map[string]bool, len(sectionInfo))
 	keys := make([]string, 0, len(sectionInfo))

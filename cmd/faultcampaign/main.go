@@ -42,8 +42,7 @@
 //     the tables.
 //
 // -snapcache takes a byte count with an optional KiB/MiB/GiB suffix;
-// malformed values (and malformed OSIRIS_SNAPSHOT_CACHE settings) are
-// rejected at startup.
+// malformed values are rejected at startup.
 //
 // With -nodes N (N >= 1) the command instead runs the cluster storm
 // campaign: N machines composed behind the load balancer, -runs
@@ -69,15 +68,14 @@
 // snapshot ladder of one warm pathfinder machine per policy: each armed
 // run resumes from the deepest captured mid-suite rung before its
 // trigger. -snapcache bounds the ladder's snapshot cache in bytes
-// (negative: boot-barrier snapshot only; default from
-// OSIRIS_SNAPSHOT_CACHE or 256 MiB), and -coldboot (or the
-// OSIRIS_COLD_BOOT environment variable) boots every run from scratch
-// instead — same results, historical setup cost. Once a warm run's
+// (negative: boot-barrier snapshot only; default 256 MiB), and
+// -coldboot boots every run from scratch instead — same results,
+// historical setup cost. Once a warm run's
 // fault has fully recovered and its state fingerprint matches the
 // pathfinder's rung record, the remaining suite suffix is elided: the
 // recorded tail deltas are spliced in place of re-execution, with
-// results bit-identical either way. -noelide (or OSIRIS_NO_ELIDE)
-// pins full suffix execution — the elision bit-identity oracle. Each
+// results bit-identical either way. -noelide pins full suffix
+// execution — the elision bit-identity oracle. Each
 // policy row is followed by "warm plane:" and "elision:" lines
 // reporting how its runs were served.
 package main
@@ -109,7 +107,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "concurrent boots (0 = one per CPU, 1 = serial)")
 		coldBoot   = flag.Bool("coldboot", false, "boot every run from scratch instead of forking a warm image")
 		noElide    = flag.Bool("noelide", false, "execute every warm run's suite suffix in full instead of splicing the recorded pathfinder tail at fingerprinted convergence")
-		snapCache  = flag.String("snapcache", "", "snapshot-ladder cache budget in bytes, with optional KiB/MiB/GiB suffix (empty: OSIRIS_SNAPSHOT_CACHE or built-in default; negative: boot-barrier snapshot only)")
+		snapCache  = flag.String("snapcache", "", "snapshot-ladder cache budget in bytes, with optional KiB/MiB/GiB suffix (empty: built-in default; negative: boot-barrier snapshot only)")
 		recordDir  = flag.String("record", "", "write a replayable JSON trace for every failed/degraded/inconsistent run into this directory")
 		resumePath = flag.String("resume", "", "journal completed runs to this file and resume from it after a crash (single -policy campaigns only)")
 		quiet      = flag.Bool("quiet", false, "suppress per-run detail (warm-plane stats, inconsistent seeds); tables only")
@@ -129,23 +127,14 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file")
 	)
 	flag.Parse()
-	if err := core.SnapshotCacheEnvError(); err != nil {
-		fmt.Fprintln(os.Stderr, "faultcampaign:", err)
-		os.Exit(2)
-	}
-	if *coldBoot {
-		faultinject.SetColdBootDefault(true)
-	}
-	if *noElide {
-		faultinject.SetNoElideDefault(true)
-	}
+	exec := faultinject.Exec{ColdBoot: *coldBoot, NoElide: *noElide}
 	if *snapCache != "" {
 		budget, err := core.ParseByteSize(*snapCache)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "faultcampaign: -snapcache:", err)
 			os.Exit(2)
 		}
-		faultinject.SetSnapshotCacheDefault(budget)
+		exec.SnapshotCacheBytes = budget
 	}
 
 	if err := validateBPFlags([]bpFlag{
@@ -206,6 +195,7 @@ func main() {
 			runs:       *runs,
 			workers:    *workers,
 			ipc:        ipc,
+			exec:       exec,
 			recordDir:  *recordDir,
 			resumePath: *resumePath,
 			quiet:      *quiet,
@@ -248,6 +238,7 @@ type campaignSpec struct {
 	runs       int
 	workers    int
 	ipc        faultinject.IPCOptions
+	exec       faultinject.Exec
 	recordDir  string
 	resumePath string
 	quiet      bool
@@ -313,6 +304,7 @@ func run(spec campaignSpec) (unhealthy bool, err error) {
 				Seed:    spec.seed,
 				Workers: spec.workers,
 				IPC:     spec.ipc,
+				Exec:    spec.exec,
 			}
 			var journal *faultinject.Journal
 			if spec.resumePath != "" {
@@ -389,6 +381,7 @@ func run(spec campaignSpec) (unhealthy bool, err error) {
 			MaxRuns:        spec.maxRuns,
 			Workers:        spec.workers,
 			IPC:            spec.ipc,
+			Exec:           spec.exec,
 		}
 		var journal *faultinject.Journal
 		if spec.resumePath != "" {

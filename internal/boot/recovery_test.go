@@ -368,23 +368,38 @@ func TestRecoveredComponentCoverageAccumulates(t *testing.T) {
 
 // TestRecoveryUnderFullCopyCheckpointing: the snapshot-based
 // checkpointing alternative recovers just as consistently as the undo
-// log — it is only slower (see eval.RunAblationCheckpointing).
+// log — it is only slower (see eval.RunAblationCheckpointing) — on both
+// its incremental dirty-set path and the legacy whole-state clone.
 func TestRecoveryUnderFullCopyCheckpointing(t *testing.T) {
-	var first, afterCrash, retry kernel.Errno
-	sys := Boot(Options{Config: core.Config{
-		Policy:          seep.PolicyEnhanced,
-		Seed:            1,
-		Instrumentation: memlog.FullCopy,
-	}}, func(p *usr.Proc) int {
-		first = p.DsPut("key", "value")
-		_, afterCrash = p.DsGet("key")
-		retry = p.DsPut("key", "value")
-		return 0
-	})
-	armInjection(sys, "ds.put.applied")
-	res := sys.Run(testLimit)
-	mustComplete(t, res)
-	if first != kernel.ECRASH || afterCrash != kernel.ENOENT || retry != kernel.OK {
-		t.Fatalf("errnos = %v/%v/%v, want ECRASH/ENOENT/OK", first, afterCrash, retry)
+	for _, tc := range []struct {
+		name   string
+		legacy bool
+	}{{"incremental", false}, {"legacy", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var first, afterCrash, retry kernel.Errno
+			sys := Boot(Options{Config: core.Config{
+				Policy:           seep.PolicyEnhanced,
+				Seed:             1,
+				Instrumentation:  memlog.FullCopy,
+				LegacyCheckpoint: tc.legacy,
+			}}, func(p *usr.Proc) int {
+				first = p.DsPut("key", "value")
+				_, afterCrash = p.DsGet("key")
+				retry = p.DsPut("key", "value")
+				return 0
+			})
+			armInjection(sys, "ds.put.applied")
+			res := sys.Run(testLimit)
+			mustComplete(t, res)
+			if first != kernel.ECRASH || afterCrash != kernel.ENOENT || retry != kernel.OK {
+				t.Fatalf("errnos = %v/%v/%v, want ECRASH/ENOENT/OK", first, afterCrash, retry)
+			}
+			// The recovered DS store included: the path survives restart.
+			for ep, name := range sys.ComponentNames() {
+				if got := sys.ComponentStore(ep).LegacyCheckpointing(); got != tc.legacy {
+					t.Fatalf("component %s: legacy checkpointing = %v, want %v", name, got, tc.legacy)
+				}
+			}
+		})
 	}
 }

@@ -10,7 +10,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"os"
 	"strconv"
 	"strings"
 
@@ -84,9 +83,13 @@ type Config struct {
 	// clones the whole data section on every Checkpoint, instead of the
 	// incremental dirty-set snapshots that are the default. The §IV-C
 	// checkpointing ablation pins this to reproduce the paper's
-	// full-copy cost profile; it is also the per-boot form of the
-	// OSIRIS_LEGACY_CHECKPOINT equivalence oracle.
+	// full-copy cost profile; it is also the incremental path's
+	// equivalence oracle.
 	LegacyCheckpoint bool
+	// LegacyScheduler selects the kernel's legacy O(n) ready scan
+	// without fused dispatch instead of the indexed ready queue: the
+	// scheduler's equivalence oracle, bit-identical by construction.
+	LegacyScheduler bool
 
 	// RecoveryDecay is the crash-free interval (in virtual cycles) after
 	// which one unit of a component's crash-storm budget is forgiven
@@ -147,16 +150,6 @@ type Config struct {
 	// abandoned to the dead-letter counter. Zero = default (4).
 	// Requires IPCTimeoutCycles > 0.
 	IPCRetryMax int
-
-	// SnapshotCacheBytes budgets the mid-suite snapshot ladder: the
-	// byte-bounded LRU cache of per-program quiescence snapshots that
-	// fault campaigns fork armed runs from. It never changes machine
-	// behavior (NewOS ignores it — campaign outcomes are bit-identical
-	// at any budget); it only trades memory for how deep into the suite
-	// a fork can start. Zero = default (OSIRIS_SNAPSHOT_CACHE env var,
-	// else 256 MiB); negative disables the ladder, keeping only the
-	// post-install boot snapshot.
-	SnapshotCacheBytes int64
 }
 
 // DefaultIPCTimeoutCycles is the recommended base sender timeout when
@@ -164,10 +157,6 @@ type Config struct {
 // requests (fork, exec, device I/O) do not time out spuriously, short
 // enough that several retries fit into a run.
 const DefaultIPCTimeoutCycles int64 = 400_000
-
-// DefaultSnapshotCacheBytes is the snapshot-ladder budget used when
-// neither Config.SnapshotCacheBytes nor OSIRIS_SNAPSHOT_CACHE is set.
-const DefaultSnapshotCacheBytes int64 = 256 << 20
 
 // ParseByteSize parses a byte-count string: a plain integer number of
 // bytes, optionally suffixed with KiB, MiB or GiB (binary multiples).
@@ -193,42 +182,6 @@ func ParseByteSize(s string) (int64, error) {
 		return 0, fmt.Errorf("core: byte size %q overflows", s)
 	}
 	return v * mult, nil
-}
-
-// snapshotCacheEnv is the OSIRIS_SNAPSHOT_CACHE override, parsed once
-// at startup. A malformed value is recorded in snapshotCacheEnvErr and
-// otherwise ignored (the default budget applies): library callers keep
-// working, and CLIs surface the error via SnapshotCacheEnvError instead
-// of silently running with the wrong cache size.
-var snapshotCacheEnv, snapshotCacheEnvErr = func() (int64, error) {
-	raw := os.Getenv("OSIRIS_SNAPSHOT_CACHE")
-	if raw == "" {
-		return 0, nil
-	}
-	v, err := ParseByteSize(raw)
-	if err != nil {
-		return 0, fmt.Errorf("OSIRIS_SNAPSHOT_CACHE: %w", err)
-	}
-	return v, nil
-}()
-
-// SnapshotCacheEnvError reports whether the OSIRIS_SNAPSHOT_CACHE
-// environment variable was set to something unparsable. CLIs check it
-// at startup and refuse to run; libraries fall back to the default
-// budget.
-func SnapshotCacheEnvError() error { return snapshotCacheEnvErr }
-
-// SnapshotCacheBudget resolves SnapshotCacheBytes against the
-// OSIRIS_SNAPSHOT_CACHE environment variable and the built-in default.
-// Negative means the ladder is disabled.
-func (c Config) SnapshotCacheBudget() int64 {
-	if c.SnapshotCacheBytes != 0 {
-		return c.SnapshotCacheBytes
-	}
-	if snapshotCacheEnv != 0 {
-		return snapshotCacheEnv
-	}
-	return DefaultSnapshotCacheBytes
 }
 
 // Validate rejects nonsensical configurations. NewOS panics on invalid
@@ -428,6 +381,7 @@ func NewOS(cfg Config) *OS {
 		slots: make(map[kernel.Endpoint]*slot),
 	}
 	o.k.SetCrashHandler(o.handleCrash)
+	o.k.SetLegacyScheduler(cfg.LegacyScheduler)
 	if cfg.IPCFaults.Enabled() || cfg.IPCTimeoutCycles > 0 {
 		o.k.SetIPCFaultPlane(cfg.IPCFaults, kernel.IPCReliability{
 			TimeoutCycles: sim.Cycles(cfg.IPCTimeoutCycles),

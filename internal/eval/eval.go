@@ -41,6 +41,9 @@ type Scale struct {
 	// bit-identical for any worker count. Zero selects one worker per
 	// CPU; 1 reproduces the historical serial path exactly.
 	Workers int
+	// Exec selects how fault campaigns serve their runs (warm plane,
+	// cold boots, oracles); the tables are bit-identical for every value.
+	Exec faultinject.Exec
 }
 
 // QuickScale is suitable for tests and testing.B benchmarks.
@@ -234,6 +237,7 @@ func RunSurvivability(model faultinject.Model, sc Scale) (SurvivabilityTable, er
 			SamplesPerSite: sc.SamplesPerSite,
 			MaxRuns:        sc.MaxRuns,
 			Workers:        sc.Workers,
+			Exec:           sc.Exec,
 		}, profile)
 		t.Rows = append(t.Rows, res)
 	}
@@ -301,6 +305,7 @@ func RunMultiFault(sc Scale) (MultiFaultTable, error) {
 				Runs:    runs,
 				Seed:    sc.Seed,
 				Workers: sc.Workers,
+				Exec:    sc.Exec,
 			}, profile)
 			t.Rows = append(t.Rows, res)
 		}
@@ -352,7 +357,7 @@ func RunIPCSweep(sc Scale) IPCSweepTable {
 	runs := sc.SamplesPerSite*2 + 1
 	return IPCSweepTable{
 		Policy: seep.PolicyEnhanced,
-		Points: faultinject.SweepIPC(seep.PolicyEnhanced, sc.Seed, ipcSweepRatesBP, runs, sc.Workers),
+		Points: faultinject.SweepIPC(seep.PolicyEnhanced, sc.Seed, ipcSweepRatesBP, runs, sc.Workers, sc.Exec),
 	}
 }
 
@@ -469,10 +474,11 @@ func RunWarmBoot(sc Scale) (WarmBootTable, error) {
 		SamplesPerSite: sc.SamplesPerSite,
 		MaxRuns:        sc.MaxRuns,
 		Workers:        sc.Workers,
+		Exec:           sc.Exec,
 	}
 	campaign := func(cold bool) (int, float64, faultinject.PlaneStats) {
-		prev := faultinject.SetColdBootDefault(cold)
-		defer faultinject.SetColdBootDefault(prev)
+		cfg := cfg
+		cfg.Exec.ColdBoot = cold
 		start := time.Now()
 		res, stats := faultinject.RunCampaignWithStats(cfg, profile)
 		secs := time.Since(start).Seconds()
@@ -494,8 +500,8 @@ func RunWarmBoot(sc Scale) (WarmBootTable, error) {
 	// Armed-run Amdahl split: time the armed phase alone, cold and warm.
 	plan := faultinject.PlanCampaign(cfg, profile)
 	armed := func(cold bool, prewalk bool) (float64, error) {
-		prev := faultinject.SetColdBootDefault(cold)
-		defer faultinject.SetColdBootDefault(prev)
+		cfg := cfg
+		cfg.Exec.ColdBoot = cold
 		runner := faultinject.NewArmedRunner(cfg, plan)
 		defer runner.Close()
 		if prewalk {
@@ -613,12 +619,13 @@ func RunTailElision(sc Scale) (TailElisionTable, error) {
 		SamplesPerSite: sc.SamplesPerSite,
 		MaxRuns:        sc.MaxRuns,
 		Workers:        sc.Workers,
+		Exec:           sc.Exec,
 	}
-	prevCold := faultinject.SetColdBootDefault(false)
-	defer faultinject.SetColdBootDefault(prevCold)
+	// Elision rides on the warm plane: both campaigns fork.
+	cfg.Exec.ColdBoot = false
 	campaign := func(noElide bool) (int, float64, faultinject.PlaneStats) {
-		prev := faultinject.SetNoElideDefault(noElide)
-		defer faultinject.SetNoElideDefault(prev)
+		cfg := cfg
+		cfg.Exec.NoElide = noElide
 		start := time.Now()
 		res, stats := faultinject.RunCampaignWithStats(cfg, profile)
 		secs := time.Since(start).Seconds()
@@ -642,8 +649,8 @@ func RunTailElision(sc Scale) (TailElisionTable, error) {
 	// the suffix executed versus spliced.
 	plan := faultinject.PlanCampaign(cfg, profile)
 	armed := func(noElide bool) float64 {
-		prev := faultinject.SetNoElideDefault(noElide)
-		defer faultinject.SetNoElideDefault(prev)
+		cfg := cfg
+		cfg.Exec.NoElide = noElide
 		runner := faultinject.NewArmedRunner(cfg, plan)
 		defer runner.Close()
 		for i, inj := range plan {

@@ -21,8 +21,8 @@ package faultinject
 //
 // Soundness gates, each with a named per-run fallback reason:
 //
-//   - the run must not be pinned to full execution (-noelide /
-//     OSIRIS_NO_ELIDE — the bit-identity oracle);
+//   - the run must not be pinned to full execution (Exec.NoElide,
+//     -noelide — the bit-identity oracle);
 //   - every armed fault that could still fire in the suffix must have
 //     triggered (persistent faults re-fire forever, so they never
 //     elide);
@@ -39,7 +39,6 @@ package faultinject
 // reason.
 
 import (
-	"os"
 	"sort"
 	"strconv"
 
@@ -49,29 +48,12 @@ import (
 	"repro/internal/testsuite"
 )
 
-// noElideDefault pins every campaign run to full suffix execution when
-// true; the OSIRIS_NO_ELIDE environment variable sets it for a whole
-// process.
-var noElideDefault = os.Getenv("OSIRIS_NO_ELIDE") != ""
-
-// SetNoElideDefault forces every campaign run onto the full-execution
-// path (the elision bit-identity oracle) and returns the previous
-// setting.
-func SetNoElideDefault(on bool) bool {
-	prev := noElideDefault
-	noElideDefault = on
-	return prev
-}
-
-// NoElideDefault reports whether tail elision is pinned off.
-func NoElideDefault() bool { return noElideDefault }
-
 // Elision fallback reasons: why a warm-served run executed its suffix
 // in full instead of splicing the recorded pathfinder tail. Each run
 // is charged exactly one — the last blocker standing when it completed.
 const (
-	// ElideFallbackPinned: full execution forced via -noelide /
-	// OSIRIS_NO_ELIDE / SetNoElideDefault — the bit-identity oracle.
+	// ElideFallbackPinned: full execution forced via Exec.NoElide
+	// (-noelide) — the bit-identity oracle.
 	ElideFallbackPinned = "noelide-pinned"
 	// ElideFallbackNoTail: the pathfinder walk left no usable tail for
 	// the run's barriers — the walk never completed the suite, its
@@ -162,7 +144,7 @@ func runElidable(sys *boot.System, report *testsuite.Report, aud *audit.Auditor,
 	if el == nil || el.l == nil {
 		return sys.Run(RunLimit), false
 	}
-	if noElideDefault {
+	if el.l.noElide {
 		el.fallback(ElideFallbackPinned)
 		return sys.Run(RunLimit), false
 	}

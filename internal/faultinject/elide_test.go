@@ -8,21 +8,12 @@ import (
 	"repro/internal/seep"
 )
 
-// Tail elision must be invisible in campaign results: every aggregate
-// is bit-identical to -noelide full execution for any worker count, and
-// the serving split accounts for every warm run exhaustively. These
-// tests assert that equivalence, drive every elision fallback reason
-// through its cold path, and pin the per-run serving decisions to the
-// stats. All names start with TestElide so CI can select the suite
-// with -run Elide.
-
-// withNoElide runs fn with elision pinned on or off, restoring the
-// previous process default afterwards.
-func withNoElide(pinned bool, fn func()) {
-	prev := SetNoElideDefault(pinned)
-	defer SetNoElideDefault(prev)
-	fn()
-}
+// Tail elision must be invisible in campaign results — the
+// differential harness's NoElide cases compare every campaign against
+// full execution. These tests drive every elision fallback reason
+// through its path, check the serving split accounts for every warm
+// run, and pin the per-run serving decisions to the stats. All names
+// start with TestElide so CI can select the suite with -run Elide.
 
 // elideTestPlan returns the standing elision campaign — large enough
 // that some runs elide, some mismatch, some never trigger — plus its
@@ -40,9 +31,9 @@ func elideTestPlan(t *testing.T) (CampaignConfig, []SiteProfile, CampaignResult)
 		SamplesPerSite: 1,
 		MaxRuns:        24,
 	}
-	var oracle CampaignResult
-	withNoElide(true, func() { oracle = RunCampaign(cfg, profile) })
-	return cfg, profile, oracle
+	pinned := cfg
+	pinned.Exec.NoElide = true
+	return cfg, profile, RunCampaign(pinned, profile)
 }
 
 // assertElisionAccounted checks the serving-split invariant: every
@@ -60,67 +51,13 @@ func assertElisionAccounted(t *testing.T, stats PlaneStats) {
 	}
 }
 
-// Elision-on campaign results must be bit-identical to pinned full
-// execution at every worker count, while actually eliding runs — and
-// the campaign is rich enough to drive the untriggered, mismatch and
-// residue fallbacks through their cold paths too.
-func TestElideEquivalence(t *testing.T) {
-	cfg, profile, oracle := elideTestPlan(t)
-	for _, workers := range []int{1, 2, 8} {
-		cfg.Workers = workers
-		res, stats := RunCampaignWithStats(cfg, profile)
-		if !reflect.DeepEqual(oracle, res) {
-			t.Errorf("workers=%d: campaign diverged from -noelide oracle:\nfull:   %+v\nelided: %+v",
-				workers, oracle, res)
-		}
-		if stats.Elided == 0 {
-			t.Errorf("workers=%d: no run elided its tail: %+v", workers, stats)
-		}
-		for _, reason := range []string{ElideFallbackUntriggered, ElideFallbackMismatch} {
-			if stats.ElisionFallbacks[reason] == 0 {
-				t.Errorf("workers=%d: campaign never exercised fallback %q: %+v",
-					workers, reason, stats.ElisionFallbacks)
-			}
-		}
-		assertElisionAccounted(t, stats)
-	}
-}
-
-// Multi-fault campaigns elide under the stricter plan-wide gate (every
-// non-recovery fault triggered, no persistent fault) and stay
-// bit-identical to full execution.
-func TestElideEquivalenceMulti(t *testing.T) {
-	profile, err := Profile(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := MultiCampaignConfig{
-		Policy: seep.PolicyEnhanced,
-		Model:  FailStop,
-		Faults: 2,
-		Runs:   12,
-		Seed:   42,
-	}
-	var oracle MultiCampaignResult
-	withNoElide(true, func() { oracle = RunMultiCampaign(cfg, profile) })
-	for _, workers := range []int{1, 4} {
-		cfg.Workers = workers
-		res, stats := RunMultiCampaignWithStats(cfg, profile)
-		if !reflect.DeepEqual(oracle, res) {
-			t.Errorf("workers=%d: multi campaign diverged from -noelide oracle:\nfull:   %+v\nelided: %+v",
-				workers, oracle, res)
-		}
-		assertElisionAccounted(t, stats)
-	}
-}
-
 // Pinning -noelide charges every warm run to noelide-pinned and elides
 // nothing, with results unchanged — the oracle is plain full execution.
 func TestElideFallbackPinned(t *testing.T) {
+	t.Parallel()
 	cfg, profile, oracle := elideTestPlan(t)
-	var res CampaignResult
-	var stats PlaneStats
-	withNoElide(true, func() { res, stats = RunCampaignWithStats(cfg, profile) })
+	cfg.Exec.NoElide = true
+	res, stats := RunCampaignWithStats(cfg, profile)
 	if !reflect.DeepEqual(oracle, res) {
 		t.Errorf("pinned campaign diverged:\nwant: %+v\ngot:  %+v", oracle, res)
 	}
@@ -138,10 +75,10 @@ func TestElideFallbackPinned(t *testing.T) {
 // walk tail is ever recorded: runs whose faults fully recover reach the
 // fingerprint gates but find no tail to splice.
 func TestElideFallbackNoTail(t *testing.T) {
+	t.Parallel()
 	cfg, profile, oracle := elideTestPlan(t)
-	var res CampaignResult
-	var stats PlaneStats
-	withSnapCache(-1, func() { res, stats = RunCampaignWithStats(cfg, profile) })
+	cfg.Exec.SnapshotCacheBytes = -1
+	res, stats := RunCampaignWithStats(cfg, profile)
 	if !reflect.DeepEqual(oracle, res) {
 		t.Errorf("tail-less campaign diverged:\nwant: %+v\ngot:  %+v", oracle, res)
 	}
@@ -158,6 +95,7 @@ func TestElideFallbackNoTail(t *testing.T) {
 // fires: the run executes the whole suite warm with the elision gate
 // blocked at every barrier, and is charged fault-untriggered.
 func TestElideFallbackUntriggered(t *testing.T) {
+	t.Parallel()
 	profile, err := Profile(42)
 	if err != nil {
 		t.Fatal(err)
@@ -199,6 +137,7 @@ func TestElideFallbackUntriggered(t *testing.T) {
 // readiness gate never opens: multi-fault runs carrying one execute in
 // full and are charged fault-untriggered.
 func TestElideFallbackPersistentNeverReady(t *testing.T) {
+	t.Parallel()
 	profile, err := Profile(42)
 	if err != nil {
 		t.Fatal(err)
@@ -245,6 +184,7 @@ func TestElideFallbackPersistentNeverReady(t *testing.T) {
 // faults are exempt from the readiness gate, so residue — not
 // fault-untriggered — is the blocker this plan pins.)
 func TestElideFallbackResidue(t *testing.T) {
+	t.Parallel()
 	profile, err := Profile(42)
 	if err != nil {
 		t.Fatal(err)
@@ -291,6 +231,7 @@ func TestElideFallbackResidue(t *testing.T) {
 // "full:<reason>" per elision fallback, one "cold:<reason>" per cold
 // boot.
 func TestElideServingDecisions(t *testing.T) {
+	t.Parallel()
 	cfg, profile, _ := elideTestPlan(t)
 	decisions := make(map[int]string)
 	cfg.OnServe = func(index int, decision string) { decisions[index] = decision }
@@ -315,6 +256,16 @@ func TestElideServingDecisions(t *testing.T) {
 	if elided != stats.Elided {
 		t.Errorf("%d elided decisions, stats say %d", elided, stats.Elided)
 	}
+	// The standing campaign is rich enough to elide some runs and to
+	// drive the untriggered and mismatch fallbacks.
+	if stats.Elided == 0 {
+		t.Errorf("no run elided its tail: %+v", stats)
+	}
+	for _, reason := range []string{ElideFallbackUntriggered, ElideFallbackMismatch} {
+		if stats.ElisionFallbacks[reason] == 0 {
+			t.Errorf("campaign never exercised fallback %q: %+v", reason, stats.ElisionFallbacks)
+		}
+	}
 	if !reflect.DeepEqual(full, mapOrEmpty(stats.ElisionFallbacks)) {
 		t.Errorf("full-execution decisions %v != stats %v", full, stats.ElisionFallbacks)
 	}
@@ -335,6 +286,7 @@ func mapOrEmpty(m map[string]int) map[string]int {
 // split covers every warm run, with all increments race-clean (this
 // test is part of the -race CI job).
 func TestElidePlaneStatsConcurrent(t *testing.T) {
+	t.Parallel()
 	cfg, profile, _ := elideTestPlan(t)
 	plan := PlanCampaign(cfg, profile)
 	for _, workers := range []int{2, 8} {

@@ -20,7 +20,6 @@ import (
 	"repro/internal/servers/rs"
 	"repro/internal/sim"
 	"repro/internal/testsuite"
-	"repro/internal/usr"
 )
 
 // RunLimit bounds one fault-injection run in virtual cycles.
@@ -215,16 +214,9 @@ func (s SiteProfile) Candidate() bool { return s.Total > s.Boot }
 // Profile runs the prototype test suite once with no faults and
 // returns the per-site execution profile, sorted by (server, site).
 func Profile(seed uint64) ([]SiteProfile, error) {
-	reg := usr.NewRegistry()
-	testsuite.Register(reg)
 	var report testsuite.Report
-
 	counts := make(map[[2]string]*SiteProfile)
-	sys := boot.Boot(boot.Options{
-		Config:     core.Config{Policy: seep.PolicyEnhanced, Seed: seed},
-		Registry:   reg,
-		Heartbeats: true,
-	}, testsuite.RunnerInit(&report))
+	sys := bootSuite(core.Config{Policy: seep.PolicyEnhanced, Seed: seed}, &report)
 
 	names := sys.ComponentNames()
 	sys.Kernel().SetPointHook(func(ep kernel.Endpoint, name, site string) {
@@ -352,28 +344,14 @@ func RunOne(policy seep.Policy, seed uint64, inj Injection) RunResult {
 // RunOneWith is RunOne with transport fault options (background rates
 // and the reliability layer) applied to the run.
 func RunOneWith(policy seep.Policy, seed uint64, inj Injection, ipc IPCOptions) RunResult {
-	reg := usr.NewRegistry()
-	testsuite.Register(reg)
-	var report testsuite.Report
+	return runOneCold(Exec{}, policy, seed, inj, ipc)
+}
 
-	ipc = ipc.normalized(inj.Type.IPC())
-	sys := boot.Boot(boot.Options{
-		// Single-fault campaigns reproduce the paper's setup, which
-		// assumes one failure at a time: the cascade-tolerance sequencer
-		// (backoff, escalation, quarantine) is pinned off so Tables
-		// II/III keep the paper's outcome semantics. Multi-fault
-		// campaigns (RunMulti) run with the sequencer enabled.
-		Config: ipc.apply(core.Config{
-			Policy:             policy,
-			Seed:               seed,
-			DisableQuarantine:  true,
-			RestartBackoffBase: -1,
-			RecoveryDecay:      -1,
-			MaxRestartAttempts: 1,
-		}, seed),
-		Registry:   reg,
-		Heartbeats: true,
-	}, testsuite.RunnerInit(&report))
+// runOneCold is RunOneWith on a machine carrying exec's machine-level
+// switches.
+func runOneCold(exec Exec, policy seep.Policy, seed uint64, inj Injection, ipc IPCOptions) RunResult {
+	var report testsuite.Report
+	sys := bootSuite(exec.machine(singleFaultConfig(policy, seed, ipc.normalized(inj.Type.IPC()))), &report)
 	return finishRunOne(sys, &report, inj, seed, inj, nil)
 }
 
@@ -503,6 +481,9 @@ type CampaignConfig struct {
 	// any worker count. Zero selects one worker per CPU; 1 reproduces
 	// the historical serial path exactly.
 	Workers int
+	// Exec selects the serving path and the oracles (zero value: the
+	// default warm plane); results are bit-identical for every value.
+	Exec Exec
 	// Journal, when set, makes the campaign crash-tolerant: runs whose
 	// result is already journaled are skipped (the stored result is
 	// used verbatim), and every newly completed run is appended. Since
@@ -615,7 +596,7 @@ func thinIndices(n, max int) []int {
 // and is bit-identical for any worker count. One machine is booted and
 // captured per configuration class up front; each run forks it in
 // O(state size) instead of re-booting, with outcomes bit-identical to
-// cold boots (see warmboot.go; OSIRIS_COLD_BOOT forces cold boots).
+// cold boots (see warmboot.go; Exec.ColdBoot forces cold boots).
 func RunCampaign(cfg CampaignConfig, profile []SiteProfile) CampaignResult {
 	result, _ := RunCampaignWithStats(cfg, profile)
 	return result

@@ -8,7 +8,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/seep"
 	"repro/internal/testsuite"
-	"repro/internal/usr"
 )
 
 // IPCOptions configures transport fault interposition and the
@@ -60,16 +59,15 @@ func (o IPCOptions) apply(cfg core.Config, runSeed uint64) core.Config {
 // the outcome. Unlike single-fault injections, background rates fire
 // repeatedly, so the cascade sequencer stays enabled as in RunMulti.
 func RunBackground(policy seep.Policy, seed uint64, ipc IPCOptions) RunResult {
-	reg := usr.NewRegistry()
-	testsuite.Register(reg)
-	var report testsuite.Report
+	return runBackgroundCold(Exec{}, policy, seed, ipc)
+}
 
+// runBackgroundCold is RunBackground on a machine carrying exec's
+// machine-level switches.
+func runBackgroundCold(exec Exec, policy seep.Policy, seed uint64, ipc IPCOptions) RunResult {
+	var report testsuite.Report
 	ipc = ipc.normalized(false)
-	sys := boot.Boot(boot.Options{
-		Config:     ipc.apply(core.Config{Policy: policy, Seed: seed}, seed),
-		Registry:   reg,
-		Heartbeats: true,
-	}, testsuite.RunnerInit(&report))
+	sys := bootSuite(exec.machine(multiFaultConfig(policy, seed, ipc)), &report)
 	return finishRunBackground(sys, &report, ipc, seed, nil)
 }
 
@@ -134,16 +132,16 @@ func (p SweepPoint) ConsistentPercent() float64 {
 // SweepIPC runs the suite `runs` times per rate point, with every fault
 // class (drop, duplicate, delay, reorder, corrupt) at rateBP basis
 // points, and reports survival and audited consistency per point.
-// Results are bit-identical for any worker count.
-func SweepIPC(policy seep.Policy, seed uint64, ratesBP []int, runs, workers int) []SweepPoint {
-	points, _ := SweepIPCWithStats(policy, seed, ratesBP, runs, workers)
+// Results are bit-identical for any worker count and any exec.
+func SweepIPC(policy seep.Policy, seed uint64, ratesBP []int, runs, workers int, exec Exec) []SweepPoint {
+	points, _ := SweepIPCWithStats(policy, seed, ratesBP, runs, workers, exec)
 	return points
 }
 
 // SweepIPCWithStats is SweepIPC plus the warm-plane serving statistics
 // (zero-rate runs fork from the ladder's deepest rung; rate points boot
 // cold). The sweep points are identical to SweepIPC's.
-func SweepIPCWithStats(policy seep.Policy, seed uint64, ratesBP []int, runs, workers int) ([]SweepPoint, PlaneStats) {
+func SweepIPCWithStats(policy seep.Policy, seed uint64, ratesBP []int, runs, workers int, exec Exec) ([]SweepPoint, PlaneStats) {
 	if runs <= 0 {
 		runs = 5
 	}
@@ -157,7 +155,7 @@ func SweepIPCWithStats(policy seep.Policy, seed uint64, ratesBP []int, runs, wor
 	// Zero-rate points leave the transport untouched, so their runs can
 	// fork one warm image; points with live rates draw per-run fault
 	// placements during boot and must boot cold (see warmboot.go).
-	runner := newBackgroundRunner(policy, seed, ratesBP)
+	runner := newBackgroundRunner(policy, seed, ratesBP, exec)
 	defer runner.close()
 	results := parallel.Map(workers, len(jobs), func(i int) RunResult {
 		j := jobs[i]

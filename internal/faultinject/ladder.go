@@ -37,28 +37,13 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/sim"
 	"repro/internal/testsuite"
-	"repro/internal/usr"
 )
-
-// snapCacheDefault overrides Config.SnapshotCacheBytes for campaign
-// pathfinders when non-zero; the -snapcache CLI flag sets it.
-var snapCacheDefault int64
-
-// SetSnapshotCacheDefault sets the process-wide snapshot-ladder cache
-// budget in bytes (negative disables the ladder, zero restores the
-// OSIRIS_SNAPSHOT_CACHE / built-in default resolution) and returns the
-// previous setting.
-func SetSnapshotCacheDefault(bytes int64) int64 {
-	prev := snapCacheDefault
-	snapCacheDefault = bytes
-	return prev
-}
 
 // Fallback reasons: why a campaign run could not be served by the
 // snapshot ladder and booted cold instead.
 const (
-	// FallbackColdBootPinned: cold boots forced via -coldboot /
-	// OSIRIS_COLD_BOOT / SetColdBootDefault — the equivalence oracle.
+	// FallbackColdBootPinned: cold boots forced via Exec.ColdBoot
+	// (-coldboot) — the equivalence oracle.
 	FallbackColdBootPinned = "coldboot-pinned"
 	// FallbackBackgroundRates: the run's transport carries background
 	// fault rates, which consume the per-run fault stream from cycle
@@ -252,26 +237,26 @@ type ladder struct {
 	rungs  []rung
 	cache  *snapCache
 	tail   *ladderTail // recorded walk end; nil until the suite completes
+	// noElide skips the per-rung fingerprint and delta records and the
+	// walk tail: with elision pinned off (Exec.NoElide) no armed run
+	// ever compares against them, so the oracle pays none of the
+	// elision plane's cost.
+	noElide bool
 }
 
 // newLadder boots the pathfinder for cfg (plus the suite registry and
 // heartbeats, exactly as every campaign run boots), drives it to the
 // post-install boot barrier and captures rung 0. Returns nil when the
 // machine never quiesced there — callers fall back to cold boots. When
-// the resolved cache budget is negative the ladder is disabled: the
+// exec's cache budget is negative the ladder is disabled: the
 // pathfinder is torn down at rung 0 and the ladder degenerates to the
 // PR 7 single-snapshot plane.
-func newLadder(cfg core.Config) *ladder {
-	if cfg.SnapshotCacheBytes == 0 {
-		cfg.SnapshotCacheBytes = snapCacheDefault
-	}
-	reg := usr.NewRegistry()
-	testsuite.Register(reg)
+func newLadder(cfg core.Config, exec Exec) *ladder {
 	report := new(testsuite.Report)
-	opts := boot.Options{Config: cfg, Registry: reg, Heartbeats: true}
+	opts := suiteOptions(cfg)
 	sys := boot.Boot(opts, testsuite.RunnerInit(report))
 
-	l := &ladder{opts: opts, sys: sys, report: report, counts: make(map[siteKey]int)}
+	l := &ladder{opts: opts, sys: sys, report: report, counts: make(map[siteKey]int), noElide: exec.NoElide}
 	names := sys.ComponentNames()
 	sys.Kernel().SetPointHook(func(ep kernel.Endpoint, name, site string) {
 		if _, recoverable := names[ep]; recoverable {
@@ -287,9 +272,9 @@ func newLadder(cfg core.Config) *ladder {
 		sys.Shutdown("ladder: boot barrier not quiescent")
 		return nil
 	}
-	l.cache = newSnapCache(cfg.SnapshotCacheBudget(), snap)
+	l.cache = newSnapCache(exec.snapshotBudget(), snap)
 	l.recordRung()
-	if cfg.SnapshotCacheBudget() < 0 {
+	if l.cache.budget < 0 {
 		l.finish("ladder: disabled by cache budget")
 	}
 	return l
@@ -305,10 +290,7 @@ func newLadder(cfg core.Config) *ladder {
 func (l *ladder) recordRung() {
 	k := l.sys.Kernel()
 	rg := rung{counts: cloneCounts(l.counts), prefix: cloneReport(*l.report)}
-	// With elision pinned off no armed run will ever compare against the
-	// rung, so the walk skips the per-rung hashing and counter snapshots
-	// entirely — the oracle pays none of the elision plane's cost.
-	if !noElideDefault {
+	if !l.noElide {
 		if fp, err := l.sys.StateFingerprint(); err == nil {
 			rg.fp, rg.fpOK = fp, true
 		}
@@ -327,7 +309,7 @@ func (l *ladder) recordRung() {
 // deadlocked leaves no tail and elision falls back to full execution.
 // Caller holds l.mu; the machine is done but not yet torn down.
 func (l *ladder) recordTail() {
-	if noElideDefault {
+	if l.noElide {
 		return
 	}
 	k := l.sys.Kernel()

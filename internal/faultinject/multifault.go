@@ -3,13 +3,11 @@ package faultinject
 import (
 	"repro/internal/audit"
 	"repro/internal/boot"
-	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/parallel"
 	"repro/internal/seep"
 	"repro/internal/sim"
 	"repro/internal/testsuite"
-	"repro/internal/usr"
 )
 
 // Multi-fault campaigns go beyond the paper's one-failure-at-a-time
@@ -66,22 +64,14 @@ func RunMulti(policy seep.Policy, seed uint64, injs []MultiInjection) MultiRunRe
 
 // RunMultiWith is RunMulti with transport fault options applied.
 func RunMultiWith(policy seep.Policy, seed uint64, injs []MultiInjection, ipc IPCOptions) MultiRunResult {
-	reg := usr.NewRegistry()
-	testsuite.Register(reg)
-	var report testsuite.Report
+	return runMultiCold(Exec{}, policy, seed, injs, ipc)
+}
 
-	armsIPC := false
-	for _, inj := range injs {
-		if inj.Type.IPC() {
-			armsIPC = true
-		}
-	}
-	ipc = ipc.normalized(armsIPC)
-	sys := boot.Boot(boot.Options{
-		Config:     ipc.apply(core.Config{Policy: policy, Seed: seed}, seed),
-		Registry:   reg,
-		Heartbeats: true,
-	}, testsuite.RunnerInit(&report))
+// runMultiCold is RunMultiWith on a machine carrying exec's
+// machine-level switches.
+func runMultiCold(exec Exec, policy seep.Policy, seed uint64, injs []MultiInjection, ipc IPCOptions) MultiRunResult {
+	var report testsuite.Report
+	sys := bootSuite(exec.machine(multiFaultConfig(policy, seed, ipc.normalized(plansArmIPC(injs)))), &report)
 	return finishRunMulti(sys, &report, injs, seed, injs, nil)
 }
 
@@ -235,6 +225,9 @@ type MultiCampaignConfig struct {
 	// Workers bounds concurrent boots (0 = one per CPU, 1 = serial);
 	// results are bit-identical for any worker count.
 	Workers int
+	// Exec selects the serving path and the oracles, exactly as in
+	// CampaignConfig.
+	Exec Exec
 	// IPC configures transport fault interposition for every run of the
 	// campaign (zero value: off; forced on when a plan arms IPC
 	// faults).

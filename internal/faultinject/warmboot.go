@@ -10,9 +10,8 @@ package faultinject
 // rung strictly before their trigger, skipping the shared fault-free
 // prefix entirely, with outcomes bit-identical to cold boots.
 //
-// Cold boots remain available as the equivalence oracle: set the
-// OSIRIS_COLD_BOOT environment variable, pass -coldboot to the CLIs, or
-// call SetColdBootDefault(true).
+// Cold boots remain available as the equivalence oracle: set
+// Exec.ColdBoot (the CLIs' -coldboot flag).
 //
 // Runs whose transport carries background fault rates are never forked:
 // their boot trace consumes the per-run fault stream, so each needs its
@@ -20,8 +19,6 @@ package faultinject
 // rates) is deterministic during a fault-free boot and forks fine.
 
 import (
-	"os"
-
 	"repro/internal/boot"
 	"repro/internal/core"
 	"repro/internal/seep"
@@ -29,20 +26,45 @@ import (
 	"repro/internal/usr"
 )
 
-// coldBootDefault disables warm forking when true; the OSIRIS_COLD_BOOT
-// environment variable sets it for a whole process.
-var coldBootDefault = os.Getenv("OSIRIS_COLD_BOOT") != ""
-
-// SetColdBootDefault forces every campaign run onto the cold-boot path
-// (the warm-fork equivalence oracle) and returns the previous setting.
-func SetColdBootDefault(on bool) bool {
-	prev := coldBootDefault
-	coldBootDefault = on
-	return prev
+// Exec selects how a campaign executes its runs. The zero value is the
+// default serving path: ladder forks, tail elision and the default
+// snapshot budget on the fast scheduler and checkpoint paths. Every
+// other value swaps in an equivalence oracle or moves a memory/speed
+// trade-off; campaign results are bit-identical for all of them, only
+// cost and the serving split change.
+type Exec struct {
+	// ColdBoot boots every run from scratch instead of forking the
+	// snapshot ladder: the warm-fork oracle.
+	ColdBoot bool
+	// NoElide executes every warm-served run's suite suffix in full
+	// instead of splicing the pathfinder tail: the elision oracle.
+	NoElide bool
+	// SnapshotCacheBytes budgets the ladder's snapshot cache. Zero
+	// selects DefaultSnapshotCacheBytes; negative disables the ladder,
+	// keeping only the post-install boot snapshot.
+	SnapshotCacheBytes int64
+	// LegacyScheduler boots every machine on the kernel's legacy O(n)
+	// ready scan (core.Config.LegacyScheduler).
+	LegacyScheduler bool
 }
 
-// ColdBootDefault reports whether campaigns are pinned to cold boots.
-func ColdBootDefault() bool { return coldBootDefault }
+// DefaultSnapshotCacheBytes is the snapshot-ladder budget used when
+// Exec.SnapshotCacheBytes is zero.
+const DefaultSnapshotCacheBytes int64 = 256 << 20
+
+// snapshotBudget resolves SnapshotCacheBytes against the default.
+func (e Exec) snapshotBudget() int64 {
+	if e.SnapshotCacheBytes != 0 {
+		return e.SnapshotCacheBytes
+	}
+	return DefaultSnapshotCacheBytes
+}
+
+// machine stamps the machine-level oracle switch into a run's Config.
+func (e Exec) machine(cfg core.Config) core.Config {
+	cfg.LegacyScheduler = e.LegacyScheduler
+	return cfg
+}
 
 // Test hooks: the runners fork and build ladders through these
 // indirections so the fallback paths (fork failure, capture failure)
@@ -54,9 +76,12 @@ var (
 	buildLadder = newLadder
 )
 
-// singleFaultConfig is the pinned configuration of single-fault runs
-// (RunOneWith); the pathfinder machine must boot with exactly this
-// shape.
+// singleFaultConfig is the pinned configuration of single-fault runs;
+// the pathfinder machine must boot with exactly this shape. Single-fault
+// campaigns reproduce the paper's setup, which assumes one failure at a
+// time: the cascade-tolerance sequencer (backoff, escalation,
+// quarantine) is pinned off so Tables II/III keep the paper's outcome
+// semantics. Multi-fault campaigns run with the sequencer enabled.
 func singleFaultConfig(policy seep.Policy, seed uint64, ipc IPCOptions) core.Config {
 	return ipc.apply(core.Config{
 		Policy:             policy,
@@ -69,9 +94,23 @@ func singleFaultConfig(policy seep.Policy, seed uint64, ipc IPCOptions) core.Con
 }
 
 // multiFaultConfig is the configuration of multi-fault and background
-// runs (RunMultiWith, RunBackground): the cascade sequencer enabled.
+// runs: the cascade sequencer enabled.
 func multiFaultConfig(policy seep.Policy, seed uint64, ipc IPCOptions) core.Config {
 	return ipc.apply(core.Config{Policy: policy, Seed: seed}, seed)
+}
+
+// suiteOptions is the boot shape of every campaign machine: the
+// prototype suite's registry, heartbeats on.
+func suiteOptions(cfg core.Config) boot.Options {
+	reg := usr.NewRegistry()
+	testsuite.Register(reg)
+	return boot.Options{Config: cfg, Registry: reg, Heartbeats: true}
+}
+
+// bootSuite cold-boots a campaign machine whose init runs the suite,
+// tallying into report.
+func bootSuite(cfg core.Config, report *testsuite.Report) *boot.System {
+	return boot.Boot(suiteOptions(cfg), testsuite.RunnerInit(report))
 }
 
 // forkParams derives the per-run seed identity, matching what
@@ -92,15 +131,16 @@ type classPlane struct {
 	reason string
 }
 
-// newClassPlane builds the plane for one configuration class.
-func newClassPlane(cfg core.Config, ipc IPCOptions) *classPlane {
+// newClassPlane builds the plane for one configuration class; cfg
+// already carries exec's machine-level switches.
+func newClassPlane(cfg core.Config, ipc IPCOptions, exec Exec) *classPlane {
 	switch {
-	case coldBootDefault:
+	case exec.ColdBoot:
 		return &classPlane{reason: FallbackColdBootPinned}
 	case ipc.Faults.Enabled():
 		return &classPlane{reason: FallbackBackgroundRates}
 	}
-	if l := buildLadder(cfg); l != nil {
+	if l := buildLadder(cfg, exec); l != nil {
 		return &classPlane{ladder: l}
 	}
 	return &classPlane{reason: FallbackNoSnapshot}
@@ -119,6 +159,7 @@ func (pl *classPlane) close() {
 type campaignRunner struct {
 	policy seep.Policy
 	ipc    IPCOptions
+	exec   Exec
 	// planes is keyed by armsIPC (whether the run's injection set arms a
 	// transport fault, which forces the reliability layer on).
 	planes map[bool]*classPlane
@@ -133,19 +174,32 @@ func (r *campaignRunner) close() {
 	}
 }
 
+// newRunner prepares one plane per configuration class in classes,
+// built by config from the class's normalized transport options.
+func newRunner(policy seep.Policy, seed uint64, ipc IPCOptions, exec Exec, classes map[bool]bool,
+	config func(seep.Policy, uint64, IPCOptions) core.Config) *campaignRunner {
+	r := &campaignRunner{policy: policy, ipc: ipc, exec: exec, planes: make(map[bool]*classPlane)}
+	for armsIPC := range classes {
+		norm := ipc.normalized(armsIPC)
+		r.planes[armsIPC] = newClassPlane(exec.machine(config(policy, seed, norm)), norm, exec)
+	}
+	return r
+}
+
 // newSingleRunner prepares ladders for a single-fault campaign: one per
 // reliability class present in the plan.
 func newSingleRunner(cfg CampaignConfig, plan []Injection) *campaignRunner {
-	r := &campaignRunner{policy: cfg.Policy, ipc: cfg.IPC, planes: make(map[bool]*classPlane)}
 	classes := make(map[bool]bool)
 	for _, inj := range plan {
 		classes[inj.Type.IPC()] = true
 	}
-	for armsIPC := range classes {
-		ipc := cfg.IPC.normalized(armsIPC)
-		r.planes[armsIPC] = newClassPlane(singleFaultConfig(cfg.Policy, cfg.Seed, ipc), ipc)
-	}
-	return r
+	return newRunner(cfg.Policy, cfg.Seed, cfg.IPC, cfg.Exec, classes, singleFaultConfig)
+}
+
+// coldOne boots one single-fault run cold, charged to reason.
+func (r *campaignRunner) coldOne(seed uint64, inj Injection, reason string) (RunResult, string) {
+	r.stats.cold(reason)
+	return runOneCold(r.exec, r.policy, seed, inj, r.ipc), ServingCold(reason)
 }
 
 // runOne executes one single-fault run, warm when possible, and
@@ -155,20 +209,17 @@ func (r *campaignRunner) runOne(seed uint64, inj Injection) (RunResult, string) 
 	ipc := r.ipc.normalized(inj.Type.IPC())
 	pl := r.planes[inj.Type.IPC()]
 	if pl.ladder == nil {
-		r.stats.cold(pl.reason)
-		return RunOneWith(r.policy, seed, inj, r.ipc), ServingCold(pl.reason)
+		return r.coldOne(seed, inj, pl.reason)
 	}
 	key := siteKey{inj.Server, inj.Site}
 	idx, rg, snap, ok := pl.ladder.serve([]siteKey{key}, []int{inj.Occurrence})
 	if !ok {
-		r.stats.cold(FallbackPreBarrier)
-		return RunOneWith(r.policy, seed, inj, r.ipc), ServingCold(FallbackPreBarrier)
+		return r.coldOne(seed, inj, FallbackPreBarrier)
 	}
 	var report testsuite.Report
 	sys, err := forkSnapshot(snap, forkParams(seed, ipc), testsuite.RunnerResumeFrom(&report, rg.prefix))
 	if err != nil {
-		r.stats.cold(FallbackForkFailed)
-		return RunOneWith(r.policy, seed, inj, r.ipc), ServingCold(FallbackForkFailed)
+		return r.coldOne(seed, inj, FallbackForkFailed)
 	}
 	r.stats.fork(idx)
 	warm := inj
@@ -180,16 +231,11 @@ func (r *campaignRunner) runOne(seed uint64, inj Injection) (RunResult, string) 
 
 // newMultiRunner prepares ladders for a multi-fault campaign.
 func newMultiRunner(cfg MultiCampaignConfig, plans [][]MultiInjection) *campaignRunner {
-	r := &campaignRunner{policy: cfg.Policy, ipc: cfg.IPC, planes: make(map[bool]*classPlane)}
 	classes := make(map[bool]bool)
 	for _, plan := range plans {
 		classes[plansArmIPC(plan)] = true
 	}
-	for armsIPC := range classes {
-		ipc := cfg.IPC.normalized(armsIPC)
-		r.planes[armsIPC] = newClassPlane(multiFaultConfig(cfg.Policy, cfg.Seed, ipc), ipc)
-	}
-	return r
+	return newRunner(cfg.Policy, cfg.Seed, cfg.IPC, cfg.Exec, classes, multiFaultConfig)
 }
 
 func plansArmIPC(injs []MultiInjection) bool {
@@ -199,6 +245,12 @@ func plansArmIPC(injs []MultiInjection) bool {
 		}
 	}
 	return false
+}
+
+// coldMulti boots one multi-fault run cold, charged to reason.
+func (r *campaignRunner) coldMulti(seed uint64, injs []MultiInjection, reason string) (MultiRunResult, string) {
+	r.stats.cold(reason)
+	return runMultiCold(r.exec, r.policy, seed, injs, r.ipc), ServingCold(reason)
 }
 
 // runMulti executes one multi-fault run, warm when possible. The
@@ -211,8 +263,7 @@ func (r *campaignRunner) runMulti(seed uint64, injs []MultiInjection) (MultiRunR
 	ipc := r.ipc.normalized(armsIPC)
 	pl := r.planes[armsIPC]
 	if pl.ladder == nil {
-		r.stats.cold(pl.reason)
-		return RunMultiWith(r.policy, seed, injs, r.ipc), ServingCold(pl.reason)
+		return r.coldMulti(seed, injs, pl.reason)
 	}
 	var keys []siteKey
 	var occs []int
@@ -225,8 +276,7 @@ func (r *campaignRunner) runMulti(seed uint64, injs []MultiInjection) (MultiRunR
 	}
 	idx, rg, snap, ok := pl.ladder.serve(keys, occs)
 	if !ok {
-		r.stats.cold(FallbackPreBarrier)
-		return RunMultiWith(r.policy, seed, injs, r.ipc), ServingCold(FallbackPreBarrier)
+		return r.coldMulti(seed, injs, FallbackPreBarrier)
 	}
 	warm := make([]MultiInjection, len(injs))
 	for i, inj := range injs {
@@ -239,8 +289,7 @@ func (r *campaignRunner) runMulti(seed uint64, injs []MultiInjection) (MultiRunR
 	var report testsuite.Report
 	sys, err := forkSnapshot(snap, forkParams(seed, ipc), testsuite.RunnerResumeFrom(&report, rg.prefix))
 	if err != nil {
-		r.stats.cold(FallbackForkFailed)
-		return RunMultiWith(r.policy, seed, injs, r.ipc), ServingCold(FallbackForkFailed)
+		return r.coldMulti(seed, injs, FallbackForkFailed)
 	}
 	r.stats.fork(idx)
 	el := newElider(pl.ladder, &r.stats)
@@ -254,6 +303,7 @@ func (r *campaignRunner) runMulti(seed uint64, injs []MultiInjection) (MultiRunR
 // the DEEPEST cached rung and replay only the suite tail.
 type backgroundRunner struct {
 	policy seep.Policy
+	exec   Exec
 	plane  *classPlane
 	stats  statsCollector
 }
@@ -262,8 +312,8 @@ func (r *backgroundRunner) close() { r.plane.close() }
 
 // newBackgroundRunner builds the plain-configuration ladder only when
 // the sweep contains a zero-rate point that can use it.
-func newBackgroundRunner(policy seep.Policy, seed uint64, ratesBP []int) *backgroundRunner {
-	r := &backgroundRunner{policy: policy}
+func newBackgroundRunner(policy seep.Policy, seed uint64, ratesBP []int, exec Exec) *backgroundRunner {
+	r := &backgroundRunner{policy: policy, exec: exec}
 	hasZero := false
 	for _, bp := range ratesBP {
 		if bp == 0 {
@@ -275,8 +325,14 @@ func newBackgroundRunner(policy seep.Policy, seed uint64, ratesBP []int) *backgr
 		r.plane = &classPlane{reason: FallbackBackgroundRates}
 		return r
 	}
-	r.plane = newClassPlane(multiFaultConfig(policy, seed, IPCOptions{}), IPCOptions{})
+	r.plane = newClassPlane(exec.machine(multiFaultConfig(policy, seed, IPCOptions{})), IPCOptions{}, exec)
 	return r
+}
+
+// cold boots one background run cold, charged to reason.
+func (r *backgroundRunner) cold(seed uint64, ipc IPCOptions, reason string) RunResult {
+	r.stats.cold(reason)
+	return runBackgroundCold(r.exec, r.policy, seed, ipc)
 }
 
 // runBackground executes one background-rate run, warm when the options
@@ -284,19 +340,16 @@ func newBackgroundRunner(policy seep.Policy, seed uint64, ratesBP []int) *backgr
 func (r *backgroundRunner) runBackground(seed uint64, ipc IPCOptions) RunResult {
 	norm := ipc.normalized(false)
 	if norm.Enabled() {
-		r.stats.cold(FallbackBackgroundRates)
-		return RunBackground(r.policy, seed, ipc)
+		return r.cold(seed, ipc, FallbackBackgroundRates)
 	}
 	if r.plane.ladder == nil {
-		r.stats.cold(r.plane.reason)
-		return RunBackground(r.policy, seed, ipc)
+		return r.cold(seed, ipc, r.plane.reason)
 	}
 	idx, rg, snap := r.plane.ladder.serveDeepest()
 	var report testsuite.Report
 	sys, err := forkSnapshot(snap, forkParams(seed, norm), testsuite.RunnerResumeFrom(&report, rg.prefix))
 	if err != nil {
-		r.stats.cold(FallbackForkFailed)
-		return RunBackground(r.policy, seed, ipc)
+		return r.cold(seed, ipc, FallbackForkFailed)
 	}
 	r.stats.fork(idx)
 	el := newElider(r.plane.ladder, &r.stats)

@@ -39,8 +39,13 @@ import (
 	"repro/internal/wire"
 )
 
-// Magic leads every snapshot image file.
-const Magic = "OSIMG001"
+// Magic leads every snapshot image file. The meta frame encodes
+// core.Config reflectively, field by field, so any change to Config's
+// fields changes the layout and must bump the version digits: an image
+// written under another layout is then refused as bad magic instead of
+// decoding misaligned. OSIMG002 added LegacyScheduler and dropped
+// SnapshotCacheBytes.
+const Magic = "OSIMG002"
 
 // flag bits of the header flags byte.
 const flagCompressed = 1 << 0

@@ -8,6 +8,7 @@ package image_test
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/boot"
@@ -153,6 +154,20 @@ func TestCorruptionRejected(t *testing.T) {
 		if _, err := image.ReadSnapshot(bytes.NewReader(data[:cut]), reg, 0); err == nil {
 			t.Fatalf("truncation at %d/%d bytes decoded successfully", cut, len(data))
 		}
+	}
+}
+
+// TestOldMagicRejected: an image written under the previous core.Config
+// layout (magic OSIMG001) must be refused as bad magic, not decoded
+// with its config fields misaligned.
+func TestOldMagicRejected(t *testing.T) {
+	data := encode(t, captureSnapshot(t, 3), image.WriteOptions{})
+	old := append([]byte("OSIMG001"), data[len(image.Magic):]...)
+	reg := usr.NewRegistry()
+	testsuite.Register(reg)
+	_, err := image.ReadSnapshot(bytes.NewReader(old), reg, 0)
+	if err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("OSIMG001 image: err = %v, want the bad-magic error", err)
 	}
 }
 

@@ -396,7 +396,6 @@ func New(cost CostModel, seed uint64) *Kernel {
 		recoveryPanics:     make(map[Endpoint]int),
 		quarantined:        make(map[Endpoint]string),
 		pendingByEp:        make(map[Endpoint]int),
-		legacySched:        legacySchedDefault,
 		ipcNextDue:         ipcNone,
 		stepTarget:         stepNone,
 	}

@@ -1,9 +1,6 @@
 package kernel
 
-import (
-	"math/bits"
-	"os"
-)
+import "math/bits"
 
 // This file implements the O(1) ready queue of the scheduler: a
 // readiness bitmap indexed by scheduling-order position. The bit for a
@@ -13,23 +10,9 @@ import (
 // whole process table. The tie-break is bit-identical to the legacy
 // scan: lowest order index at or after rrNext, wrapping.
 //
-// The legacy O(n) scan is kept behind SetLegacyScheduler (default from
-// OSIRIS_LEGACY_SCHED) so equivalence suites can prove both paths
-// produce identical runs; it will be removed once the new path has
-// soaked.
-
-// legacySchedDefault seeds Kernel.legacySched; the environment switch
-// lets whole campaigns flip paths without code changes.
-var legacySchedDefault = os.Getenv("OSIRIS_LEGACY_SCHED") != ""
-
-// SetLegacySchedulerDefault overrides the boot-time default for
-// subsequently created kernels (equivalence tests flip this around
-// campaign runs). It returns the previous default.
-func SetLegacySchedulerDefault(on bool) bool {
-	prev := legacySchedDefault
-	legacySchedDefault = on
-	return prev
-}
+// The legacy O(n) scan is kept behind SetLegacyScheduler (set per
+// machine from core.Config.LegacyScheduler) so equivalence suites can
+// prove both paths produce identical runs.
 
 // SetLegacyScheduler selects the legacy O(n) scan (true) or the
 // indexed ready queue with fused dispatch (false) for this machine.

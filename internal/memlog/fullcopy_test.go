@@ -7,82 +7,105 @@ import (
 	"repro/internal/sim"
 )
 
+// bothCheckpointPaths runs fn as a subtest on a FullCopy store for each
+// checkpoint path: the incremental default and the legacy whole-state
+// clone.
+func bothCheckpointPaths(t *testing.T, fn func(t *testing.T, s *Store)) {
+	for _, legacy := range []bool{false, true} {
+		name := "incremental"
+		if legacy {
+			name = "legacy"
+		}
+		t.Run(name, func(t *testing.T) {
+			s := NewStore("fc", FullCopy)
+			s.SetLegacyCheckpoint(legacy)
+			fn(t, s)
+		})
+	}
+}
+
 func TestFullCopyCheckpointRollback(t *testing.T) {
-	s := NewStore("fc", FullCopy)
-	s.SetLogging(true)
-	c := NewCell(s, "x", 1)
-	m := NewMap[int, string](s, "m")
-	m.Set(1, "one")
+	bothCheckpointPaths(t, func(t *testing.T, s *Store) {
+		s.SetLogging(true)
+		c := NewCell(s, "x", 1)
+		m := NewMap[int, string](s, "m")
+		m.Set(1, "one")
 
-	s.Checkpoint()
-	c.Set(99)
-	m.Set(1, "mutated")
-	m.Set(2, "new")
+		s.Checkpoint()
+		c.Set(99)
+		m.Set(1, "mutated")
+		m.Set(2, "new")
 
-	if s.LogLen() != 0 {
-		t.Fatal("FullCopy mode must not keep an undo log")
-	}
-	s.Rollback()
-	if c.Get() != 1 {
-		t.Fatalf("cell = %d, want 1", c.Get())
-	}
-	if v, _ := m.Get(1); v != "one" {
-		t.Fatalf("m[1] = %q, want one", v)
-	}
-	if _, ok := m.Get(2); ok {
-		t.Fatal("m[2] survived rollback")
-	}
+		if s.LogLen() != 0 {
+			t.Fatal("FullCopy mode must not keep an undo log")
+		}
+		s.Rollback()
+		if c.Get() != 1 {
+			t.Fatalf("cell = %d, want 1", c.Get())
+		}
+		if v, _ := m.Get(1); v != "one" {
+			t.Fatalf("m[1] = %q, want one", v)
+		}
+		if _, ok := m.Get(2); ok {
+			t.Fatal("m[2] survived rollback")
+		}
+	})
 }
 
 func TestFullCopyChargesPerCheckpoint(t *testing.T) {
-	s := NewStore("fc", FullCopy)
-	var charged sim.Cycles
-	s.SetCostSink(func(n sim.Cycles) { charged += n })
-	sl := NewSlice[int64](s, "arena")
-	for i := 0; i < 1000; i++ {
-		sl.Append(int64(i))
-	}
-	if charged != 0 {
-		t.Fatalf("FullCopy charged %d for plain stores", charged)
-	}
-	s.SetLogging(true)
-	s.Checkpoint()
-	if charged < 1000 {
-		t.Fatalf("checkpoint charged only %d cycles for an 8000-byte section", charged)
-	}
+	bothCheckpointPaths(t, func(t *testing.T, s *Store) {
+		var charged sim.Cycles
+		s.SetCostSink(func(n sim.Cycles) { charged += n })
+		sl := NewSlice[int64](s, "arena")
+		for i := 0; i < 1000; i++ {
+			sl.Append(int64(i))
+		}
+		if charged != 0 {
+			t.Fatalf("FullCopy charged %d for plain stores", charged)
+		}
+		s.SetLogging(true)
+		s.Checkpoint()
+		if charged < 1000 {
+			t.Fatalf("checkpoint charged only %d cycles for an 8000-byte section", charged)
+		}
+	})
 }
 
 func TestFullCopyWindowClosedTakesNoSnapshot(t *testing.T) {
-	s := NewStore("fc", FullCopy)
-	var charged sim.Cycles
-	s.SetCostSink(func(n sim.Cycles) { charged += n })
-	NewCell(s, "x", 0)
-	s.SetLogging(false)
-	s.Checkpoint()
-	if charged != 0 {
-		t.Fatalf("closed-window checkpoint charged %d", charged)
-	}
+	bothCheckpointPaths(t, func(t *testing.T, s *Store) {
+		var charged sim.Cycles
+		s.SetCostSink(func(n sim.Cycles) { charged += n })
+		NewCell(s, "x", 0)
+		s.SetLogging(false)
+		s.Checkpoint()
+		if charged != 0 {
+			t.Fatalf("closed-window checkpoint charged %d", charged)
+		}
+	})
 }
 
 func TestFullCopyDiscardDropsSnapshot(t *testing.T) {
-	s := NewStore("fc", FullCopy)
-	s.SetLogging(true)
-	c := NewCell(s, "x", 1)
-	s.Checkpoint()
-	c.Set(5)
-	s.DiscardLog()
-	s.Rollback() // no snapshot: must be a no-op
-	if c.Get() != 5 {
-		t.Fatalf("rollback after discard changed state to %d", c.Get())
-	}
+	bothCheckpointPaths(t, func(t *testing.T, s *Store) {
+		s.SetLogging(true)
+		c := NewCell(s, "x", 1)
+		s.Checkpoint()
+		c.Set(5)
+		s.DiscardLog()
+		s.Rollback() // no snapshot: must be a no-op
+		if c.Get() != 5 {
+			t.Fatalf("rollback after discard changed state to %d", c.Get())
+		}
+	})
 }
 
-// TestPropertyFullCopyMatchesUndoLog: both checkpointing strategies
-// restore identical states for any mutation sequence.
+// TestPropertyFullCopyMatchesUndoLog: both checkpointing strategies —
+// and both FullCopy checkpoint paths — restore identical states for any
+// mutation sequence.
 func TestPropertyFullCopyMatchesUndoLog(t *testing.T) {
-	fn := func(seed uint64, opCount uint8) bool {
+	fn := func(seed uint64, opCount uint8, legacy bool) bool {
 		build := func(mode Instrumentation) (*Store, *Cell[int], *Map[int, int], *Slice[int]) {
 			s := NewStore("prop", mode)
+			s.SetLegacyCheckpoint(legacy)
 			s.SetLogging(true)
 			return s, NewCell(s, "cell", 0), NewMap[int, int](s, "map"), NewSlice[int](s, "slice")
 		}

@@ -18,10 +18,12 @@ func registerTestContainers(s *Store) (*Cell[int64], *Map[string, string], *Slic
 }
 
 // buildStore assembles a store with realistic history: mutations,
-// checkpoints, deletions, and an empty undo log at the end.
-func buildStore(t *testing.T, mode Instrumentation) *Store {
+// checkpoints, deletions, and an empty undo log at the end. legacy
+// selects the legacy full-copy checkpoint path (FullCopy only).
+func buildStore(t *testing.T, mode Instrumentation, legacy bool) *Store {
 	t.Helper()
 	s := NewStore("img-test", mode)
+	s.SetLegacyCheckpoint(legacy)
 	s.SetLogging(true)
 	c, m, sl := registerTestContainers(s)
 	s.Checkpoint()
@@ -70,55 +72,87 @@ func decodeAndMaterialize(t *testing.T, img []byte) *Store {
 	return s
 }
 
+// imageCases are the store shapes the image tests cover: every
+// instrumentation mode, and FullCopy on both checkpoint paths (the
+// incremental default and the legacy whole-state clone).
+var imageCases = []struct {
+	name   string
+	mode   Instrumentation
+	legacy bool
+}{
+	{"Baseline", Baseline, false},
+	{"Unoptimized", Unoptimized, false},
+	{"Optimized", Optimized, false},
+	{"FullCopy", FullCopy, false},
+	{"FullCopyLegacyCheckpoint", FullCopy, true},
+}
+
 func TestStoreImageRoundTrip(t *testing.T) {
-	for _, mode := range []Instrumentation{Baseline, Unoptimized, Optimized, FullCopy} {
-		src := buildStore(t, mode)
-		img := encodeImage(t, src)
-		dec := decodeAndMaterialize(t, img)
-		// decode∘encode ≡ identity: re-encoding the decoded store must
-		// reproduce the image byte for byte.
-		img2 := encodeImage(t, dec)
-		if !bytes.Equal(img, img2) {
-			t.Fatalf("mode %d: encode(decode(encode(S))) differs from encode(S)", mode)
-		}
-		// And the image must equal the one an in-memory ForkClone
-		// produces — the decoded store is indistinguishable from a fork.
-		fc := encodeImage(t, src.ForkClone())
-		if !bytes.Equal(img, fc) {
-			t.Fatalf("mode %d: decoded image differs from ForkClone image", mode)
-		}
+	for _, tc := range imageCases {
+		t.Run(tc.name, func(t *testing.T) {
+			src := buildStore(t, tc.mode, tc.legacy)
+			img := encodeImage(t, src)
+			dec := decodeAndMaterialize(t, img)
+			if dec.LegacyCheckpointing() != tc.legacy {
+				t.Fatalf("decoded store lost the checkpoint path: legacy=%v", dec.LegacyCheckpointing())
+			}
+			// decode∘encode ≡ identity: re-encoding the decoded store must
+			// reproduce the image byte for byte.
+			img2 := encodeImage(t, dec)
+			if !bytes.Equal(img, img2) {
+				t.Fatal("encode(decode(encode(S))) differs from encode(S)")
+			}
+			// And the image must equal the one an in-memory ForkClone
+			// produces — the decoded store is indistinguishable from a fork.
+			fc := encodeImage(t, src.ForkClone())
+			if !bytes.Equal(img, fc) {
+				t.Fatal("decoded image differs from ForkClone image")
+			}
+		})
 	}
 }
 
 // TestStoreImageFullCopyBehavior drives a decoded FullCopy store and a
 // ForkClone of the original through the same checkpoint/rollback
-// sequence and requires identical final images.
+// sequence and requires identical final images, on both checkpoint
+// paths.
 func TestStoreImageFullCopyBehavior(t *testing.T) {
-	src := buildStore(t, FullCopy)
-	dec := decodeAndMaterialize(t, encodeImage(t, src))
-	fork := src.ForkClone()
+	for _, legacy := range []bool{false, true} {
+		name := "incremental"
+		if legacy {
+			name = "LegacyCheckpoint"
+		}
+		t.Run(name, func(t *testing.T) {
+			src := buildStore(t, FullCopy, legacy)
+			dec := decodeAndMaterialize(t, encodeImage(t, src))
+			fork := src.ForkClone()
 
-	drive := func(s *Store) {
-		c := NewCell(s, "t.cell", int64(0)) // returns the existing cell
-		m := NewMap[string, string](s, "t.map")
-		s.Checkpoint()
-		c.Set(99)
-		m.Set("epsilon", "e")
-		s.Rollback()
-		s.Checkpoint()
-		m.Set("zeta", "z")
-	}
-	drive(dec)
-	drive(fork)
-	a := encodeImage(t, dec)
-	b := encodeImage(t, fork)
-	if !bytes.Equal(a, b) {
-		t.Fatal("decoded store diverged from ForkClone under identical operations")
+			drive := func(s *Store) {
+				c := NewCell(s, "t.cell", int64(0)) // returns the existing cell
+				m := NewMap[string, string](s, "t.map")
+				s.Checkpoint()
+				c.Set(99)
+				m.Set("epsilon", "e")
+				s.Rollback()
+				s.Checkpoint()
+				m.Set("zeta", "z")
+			}
+			drive(dec)
+			drive(fork)
+			if dec.LegacyCheckpointing() != legacy || fork.LegacyCheckpointing() != legacy {
+				t.Fatal("decoded or forked store lost the checkpoint path")
+			}
+			a := encodeImage(t, dec)
+			b := encodeImage(t, fork)
+			if !bytes.Equal(a, b) {
+				t.Fatal("decoded store diverged from ForkClone under identical operations")
+			}
+		})
 	}
 }
 
 func TestStoreImagePendingForkClone(t *testing.T) {
-	src := buildStore(t, Optimized)
+	src := buildStore(t, Optimized, false)
 	img := encodeImage(t, src)
 	pending, err := DecodeStoreImage(wire.NewDecoder(img))
 	if err != nil {
@@ -148,7 +182,7 @@ func TestStoreImageRejectsInFlightLog(t *testing.T) {
 }
 
 func TestStoreImageTypeMismatch(t *testing.T) {
-	src := buildStore(t, Optimized)
+	src := buildStore(t, Optimized, false)
 	img := encodeImage(t, src)
 	s, err := DecodeStoreImage(wire.NewDecoder(img))
 	if err != nil {
@@ -165,7 +199,7 @@ func TestStoreImageTypeMismatch(t *testing.T) {
 }
 
 func TestStoreImageLeftoverContainer(t *testing.T) {
-	src := buildStore(t, Optimized)
+	src := buildStore(t, Optimized, false)
 	img := encodeImage(t, src)
 	s, err := DecodeStoreImage(wire.NewDecoder(img))
 	if err != nil {
@@ -178,7 +212,7 @@ func TestStoreImageLeftoverContainer(t *testing.T) {
 }
 
 func TestStoreImageTruncated(t *testing.T) {
-	img := encodeImage(t, buildStore(t, Optimized))
+	img := encodeImage(t, buildStore(t, Optimized, false))
 	for cut := 0; cut < len(img); cut += 11 {
 		if _, err := DecodeStoreImage(wire.NewDecoder(img[:cut])); err == nil {
 			// Truncation may also surface later, at materialization.
