@@ -113,7 +113,7 @@ func multiCampaign(cfg MultiCampaignConfig) func([]SiteProfile, int, Exec) outco
 // ipcSweep mixes a forkable zero-rate row with rows whose background
 // rates force cold boots.
 func ipcSweep(_ []SiteProfile, workers int, exec Exec) outcome {
-	points, stats := SweepIPCWithStats(seep.PolicyEnhanced, 42, []int{0, 25, 200}, 3, workers, exec)
+	points, stats := sweepIPC(seep.PolicyEnhanced, 42, []int{0, 25, 200}, 3, workers, exec)
 	return outcome{runs: points, stats: &stats, n: 3 * len(points)}
 }
 

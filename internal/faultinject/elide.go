@@ -40,7 +40,6 @@ package faultinject
 
 import (
 	"sort"
-	"strconv"
 
 	"repro/internal/audit"
 	"repro/internal/boot"
@@ -74,49 +73,24 @@ const (
 	ElideFallbackResidue = "state-residue"
 )
 
-// Serving-decision strings: how one campaign run was served, recorded
-// per run (see Trace.Serving) so a replayed trace can assert the
-// identical serving path. A full decision composes as either
-// "cold:<fallback reason>", "rung:<idx> elided:<barrier>",
-// "rung:<idx> full:<elision fallback reason>", or ServingJournal for
-// results served verbatim from a campaign journal.
-const ServingJournal = "journal"
-
-// ServingCold renders a cold-boot decision with its fallback reason.
-func ServingCold(reason string) string { return "cold:" + reason }
-
-// ServingElided renders the warm half of an elided run's decision:
-// the suite index of the quiescence barrier where the tail was spliced.
-func ServingElided(barrier int) string { return "elided:" + strconv.Itoa(barrier) }
-
-// ServingFull renders the warm half of a fully executed run's decision.
-func ServingFull(reason string) string { return "full:" + reason }
-
-// ServingRung composes a warm decision from the serving rung index and
-// the elision half (ServingElided or ServingFull).
-func ServingRung(idx int, rest string) string {
-	return "rung:" + strconv.Itoa(idx) + " " + rest
-}
-
 // elider is the per-run elision context of a warm-served campaign run:
 // the ladder carrying the rung fingerprints and recorded tail, the
-// plane statistics sink, and the run-flavor predicate deciding whether
-// any armed fault could still fire in the suffix. decision records how
-// the run was ultimately served, for trace provenance.
+// run-flavor predicate deciding whether any armed fault could still fire
+// in the suffix, and the run's serving decision.
 type elider struct {
-	l     *ladder
-	stats *statsCollector
+	l *ladder
 	// ready reports that no armed fault can fire in the remaining
 	// suffix: every fault that could has triggered, and none re-fires.
-	// The finish* runner that arms the faults installs it, since only
-	// that layer knows the plan's trigger semantics.
+	// runShape.run installs it, since only that layer knows the plan's
+	// trigger semantics.
 	ready func() bool
 	// attempts counts fingerprint comparisons spent so far (see
 	// maxElideAttempts).
 	attempts int
-	// decision is the serving decision string: elision barrier or
-	// fallback reason (see ServingElided / ServingFull).
-	decision string
+	// served is the run's serving decision: the rung it forked from,
+	// completed by runElidable with the elision barrier or the elision
+	// fallback reason.
+	served serving
 }
 
 // maxElideAttempts bounds the fingerprint comparisons one run pays
@@ -128,20 +102,16 @@ type elider struct {
 // back to bit-identical full execution.
 const maxElideAttempts = 8
 
-func newElider(l *ladder, stats *statsCollector) *elider {
-	return &elider{l: l, stats: stats}
-}
-
 // runElidable drives a warm-forked machine barrier to barrier,
 // attempting tail elision at each quiescence barrier, and returns the
 // run result plus whether the tail was elided. With a nil elider (cold
-// boots, pinned runs) or elision pinned off it degenerates to ordinary
-// full execution. The barrier-to-barrier drive is bit-identical to
+// boots) or elision pinned off it degenerates to ordinary full
+// execution. The barrier-to-barrier drive is bit-identical to
 // sys.Run: Context.Barrier costs no cycles, counters or scheduling
 // effects, and the loop body is Run's (the same invariant the ladder
 // pathfinder rests on).
 func runElidable(sys *boot.System, report *testsuite.Report, aud *audit.Auditor, el *elider) (kernel.Result, bool) {
-	if el == nil || el.l == nil {
+	if el == nil {
 		return sys.Run(RunLimit), false
 	}
 	if el.l.noElide {
@@ -215,17 +185,11 @@ func (el *elider) tryElide(sys *boot.System, report *testsuite.Report, aud *audi
 }
 
 func (el *elider) elide(barrier int) {
-	el.decision = ServingElided(barrier)
-	if el.stats != nil {
-		el.stats.elided()
-	}
+	el.served.kind, el.served.barrier = servedElided, barrier
 }
 
 func (el *elider) fallback(reason string) {
-	el.decision = ServingFull(reason)
-	if el.stats != nil {
-		el.stats.elisionFallback(reason)
-	}
+	el.served.kind, el.served.reason = servedFull, reason
 }
 
 // spliceReport adds the pathfinder's suffix tallies (tail minus rung

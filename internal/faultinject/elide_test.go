@@ -2,7 +2,6 @@ package faultinject
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/seep"
@@ -11,9 +10,9 @@ import (
 // Tail elision must be invisible in campaign results — the
 // differential harness's NoElide cases compare every campaign against
 // full execution. These tests drive every elision fallback reason
-// through its path, check the serving split accounts for every warm
-// run, and pin the per-run serving decisions to the stats. All names
-// start with TestElide so CI can select the suite with -run Elide.
+// through its path and check the serving split accounts for every warm
+// run. All names start with TestElide so CI can select the suite with
+// -run Elide.
 
 // elideTestPlan returns the standing elision campaign — large enough
 // that some runs elide, some mismatch, some never trigger — plus its
@@ -116,21 +115,35 @@ func TestElideFallbackUntriggered(t *testing.T) {
 		Occurrence: deep.Total + 1000,
 		Type:       FaultCrash,
 	}
-	cfg := CampaignConfig{Policy: seep.PolicyEnhanced, Model: FailStop, Seed: 42}
-	runner := newSingleRunner(cfg, []Injection{inj})
-	defer runner.close()
-	warmRR, decision := runner.runOne(99, inj)
+	r := newRunner(singleShape, seep.PolicyEnhanced, 42, Exec{})
+	r.openSingle(IPCOptions{}, []Injection{inj})
+	defer r.close()
+	warmRR, served := r.single(99, inj, IPCOptions{})
 	coldRR := RunOne(seep.PolicyEnhanced, 99, inj)
 	if !reflect.DeepEqual(coldRR, warmRR) {
 		t.Errorf("untriggered run diverged:\ncold: %+v\nwarm: %+v", coldRR, warmRR)
 	}
-	stats := runner.stats.snapshot()
-	if stats.ElisionFallbacks[ElideFallbackUntriggered] != 1 {
-		t.Errorf("run not charged to %s: %+v", ElideFallbackUntriggered, stats.ElisionFallbacks)
+	assertServedFull(t, served, ElideFallbackUntriggered)
+}
+
+// assertServedFull checks that a run forked warm, executed its suffix
+// in full and was charged reason.
+func assertServedFull(t *testing.T, served serving, reason string) {
+	t.Helper()
+	if served.kind != servedFull || served.reason != reason {
+		t.Errorf("run served %v, want a rung fork charged to full:%s", served, reason)
 	}
-	if want := ServingFull(ElideFallbackUntriggered); !strings.HasSuffix(decision, want) {
-		t.Errorf("decision %q does not end in %q", decision, want)
-	}
+}
+
+// serveMulti serves one multi-fault plan warm on a fresh runner, and
+// returns it with the plan's cold-boot result.
+func serveMulti(t *testing.T, plan []MultiInjection) (warm, cold MultiRunResult, served serving) {
+	t.Helper()
+	r := newRunner(multiShape, seep.PolicyEnhanced, 42, Exec{})
+	r.open(IPCOptions{}.normalized(plansArmIPC(plan)))
+	defer r.close()
+	warm, served = r.serve(7, plan, IPCOptions{})
+	return warm, RunMultiWith(seep.PolicyEnhanced, 7, plan, IPCOptions{}), served
 }
 
 // Persistent faults re-fire after every restart, so the plan-wide
@@ -156,24 +169,11 @@ func TestElideFallbackPersistentNeverReady(t *testing.T) {
 		{Injection: Injection{Server: deep.Server, Site: deep.Site, Occurrence: deep.Boot + 1, Type: FaultCrash}},
 		{Injection: Injection{Server: deep.Server, Site: deep.Site, Occurrence: 1, Type: FaultCrash}, Persistent: true},
 	}
-	cfg := MultiCampaignConfig{Policy: seep.PolicyEnhanced, Model: FailStop, Seed: 42}
-	runner := newMultiRunner(cfg, [][]MultiInjection{plan})
-	defer runner.close()
-	warmRR, decision := runner.runMulti(7, plan)
-	coldRR := RunMultiWith(seep.PolicyEnhanced, 7, plan, IPCOptions{})
+	warmRR, coldRR, served := serveMulti(t, plan)
 	if !reflect.DeepEqual(coldRR, warmRR) {
 		t.Errorf("persistent-fault run diverged:\ncold: %+v\nwarm: %+v", coldRR, warmRR)
 	}
-	stats := runner.stats.snapshot()
-	if stats.Elided != 0 {
-		t.Errorf("persistent-fault run elided: %+v", stats)
-	}
-	if stats.ElisionFallbacks[ElideFallbackUntriggered] != 1 {
-		t.Errorf("run not charged to %s: %+v", ElideFallbackUntriggered, stats.ElisionFallbacks)
-	}
-	if want := ServingFull(ElideFallbackUntriggered); !strings.HasSuffix(decision, want) {
-		t.Errorf("decision %q does not end in %q", decision, want)
-	}
+	assertServedFull(t, served, ElideFallbackUntriggered)
 }
 
 // A crash whose recovery is itself crashed repeatedly exhausts the
@@ -208,56 +208,32 @@ func TestElideFallbackResidue(t *testing.T) {
 			DuringRecovery: true,
 		})
 	}
-	cfg := MultiCampaignConfig{Policy: seep.PolicyEnhanced, Model: FailStop, Seed: 42}
-	runner := newMultiRunner(cfg, [][]MultiInjection{plan})
-	defer runner.close()
-	warmRR, decision := runner.runMulti(7, plan)
-	coldRR := RunMultiWith(seep.PolicyEnhanced, 7, plan, IPCOptions{})
+	warmRR, coldRR, served := serveMulti(t, plan)
 	if !reflect.DeepEqual(coldRR, warmRR) {
 		t.Errorf("quarantined run diverged:\ncold: %+v\nwarm: %+v", coldRR, warmRR)
 	}
-	stats := runner.stats.snapshot()
-	if stats.Elided != 0 || stats.ElisionFallbacks[ElideFallbackResidue] != 1 {
-		t.Errorf("run not charged to %s: elided=%d %+v",
-			ElideFallbackResidue, stats.Elided, stats.ElisionFallbacks)
-	}
-	if want := ServingFull(ElideFallbackResidue); !strings.HasSuffix(decision, want) {
-		t.Errorf("decision %q does not end in %q", decision, want)
-	}
+	assertServedFull(t, served, ElideFallbackResidue)
 }
 
-// Per-run serving decisions must agree exactly with the aggregated
-// serving split: as many "elided:" decisions as Elided, one matching
-// "full:<reason>" per elision fallback, one "cold:<reason>" per cold
-// boot.
+// The standing campaign is rich enough to elide some runs and to drive
+// the untriggered and mismatch fallbacks, and OnServe reports one
+// decision per run in plan order. (The rendering and fold of serving
+// decisions are TestServingDecision's.)
 func TestElideServingDecisions(t *testing.T) {
 	t.Parallel()
 	cfg, profile, _ := elideTestPlan(t)
-	decisions := make(map[int]string)
-	cfg.OnServe = func(index int, decision string) { decisions[index] = decision }
+	var order []int
+	cfg.OnServe = func(index int, _ string) { order = append(order, index) }
 	_, stats := RunCampaignWithStats(cfg, profile)
 	plan := PlanCampaign(cfg, profile)
-	if len(decisions) != len(plan) {
-		t.Fatalf("recorded %d decisions for %d runs", len(decisions), len(plan))
+	if len(order) != len(plan) {
+		t.Fatalf("recorded %d decisions for %d runs", len(order), len(plan))
 	}
-	elided, full, cold := 0, map[string]int{}, map[string]int{}
-	for i, d := range decisions {
-		switch {
-		case strings.HasPrefix(d, "rung:") && strings.Contains(d, " elided:"):
-			elided++
-		case strings.HasPrefix(d, "rung:") && strings.Contains(d, " full:"):
-			full[d[strings.Index(d, " full:")+len(" full:"):]]++
-		case strings.HasPrefix(d, "cold:"):
-			cold[d[len("cold:"):]]++
-		default:
-			t.Errorf("run %d: unparseable serving decision %q", i, d)
+	for i, idx := range order {
+		if idx != i {
+			t.Fatalf("OnServe order %v is not plan order", order)
 		}
 	}
-	if elided != stats.Elided {
-		t.Errorf("%d elided decisions, stats say %d", elided, stats.Elided)
-	}
-	// The standing campaign is rich enough to elide some runs and to
-	// drive the untriggered and mismatch fallbacks.
 	if stats.Elided == 0 {
 		t.Errorf("no run elided its tail: %+v", stats)
 	}
@@ -266,25 +242,12 @@ func TestElideServingDecisions(t *testing.T) {
 			t.Errorf("campaign never exercised fallback %q: %+v", reason, stats.ElisionFallbacks)
 		}
 	}
-	if !reflect.DeepEqual(full, mapOrEmpty(stats.ElisionFallbacks)) {
-		t.Errorf("full-execution decisions %v != stats %v", full, stats.ElisionFallbacks)
-	}
-	if !reflect.DeepEqual(cold, mapOrEmpty(stats.Fallbacks)) {
-		t.Errorf("cold decisions %v != stats %v", cold, stats.Fallbacks)
-	}
-}
-
-func mapOrEmpty(m map[string]int) map[string]int {
-	if m == nil {
-		return map[string]int{}
-	}
-	return m
 }
 
 // PlaneStats accumulation must stay exhaustive under concurrent
 // campaign workers: split totals sum to the run count and the elision
-// split covers every warm run, with all increments race-clean (this
-// test is part of the -race CI job).
+// split covers every warm run, race-clean (this test is part of the
+// -race CI job).
 func TestElidePlaneStatsConcurrent(t *testing.T) {
 	t.Parallel()
 	cfg, profile, _ := elideTestPlan(t)

@@ -10,12 +10,11 @@ package faultinject
 import (
 	"fmt"
 	"sort"
+	"sync"
 
-	"repro/internal/audit"
 	"repro/internal/boot"
 	"repro/internal/core"
 	"repro/internal/kernel"
-	"repro/internal/parallel"
 	"repro/internal/seep"
 	"repro/internal/servers/rs"
 	"repro/internal/sim"
@@ -207,7 +206,7 @@ type SiteProfile struct {
 	Total, Boot int
 }
 
-// Candidates reports whether the site is a valid injection target: it
+// Candidate reports whether the site is a valid injection target: it
 // must execute at least once after boot.
 func (s SiteProfile) Candidate() bool { return s.Total > s.Boot }
 
@@ -344,70 +343,7 @@ func RunOne(policy seep.Policy, seed uint64, inj Injection) RunResult {
 // RunOneWith is RunOne with transport fault options (background rates
 // and the reliability layer) applied to the run.
 func RunOneWith(policy seep.Policy, seed uint64, inj Injection, ipc IPCOptions) RunResult {
-	return runOneCold(Exec{}, policy, seed, inj, ipc)
-}
-
-// runOneCold is RunOneWith on a machine carrying exec's machine-level
-// switches.
-func runOneCold(exec Exec, policy seep.Policy, seed uint64, inj Injection, ipc IPCOptions) RunResult {
-	var report testsuite.Report
-	sys := bootSuite(exec.machine(singleFaultConfig(policy, seed, ipc.normalized(inj.Type.IPC()))), &report)
-	return finishRunOne(sys, &report, inj, seed, inj, nil)
-}
-
-// finishRunOne arms the injection on a prepared machine — cold-booted or
-// forked from a warm image — runs the suite and classifies the outcome.
-// armed carries the occurrence counted from the machine's current
-// position (equal to inj on cold boots; shifted past the quiescence
-// barrier on warm forks); the result always reports inj as planned. A
-// non-nil elider lets a warm fork splice the pathfinder's recorded tail
-// at a post-recovery quiescence barrier instead of re-executing it (see
-// elide.go); cold boots pass nil.
-func finishRunOne(sys *boot.System, report *testsuite.Report, inj Injection, seed uint64, armed Injection, el *elider) RunResult {
-	k := sys.Kernel()
-	rng := sim.NewRNG(seed ^ 0xFA0175EED)
-	triggered := false
-	remaining := armed.Occurrence
-	k.SetPointHook(func(ep kernel.Endpoint, name, site string) {
-		if triggered || name != armed.Server || site != armed.Site {
-			return
-		}
-		remaining--
-		if remaining > 0 {
-			return
-		}
-		triggered = true
-		applyFault(sys, ep, inj.Type, rng)
-	})
-
-	aud := audit.Attach(sys.OS)
-	if el != nil {
-		// The single armed fault is one-shot: once the point hook fired,
-		// nothing can fire in the suffix (armed-but-unfired transport
-		// faults and reply overrides are blocked by the quiescence gate).
-		el.ready = func() bool { return triggered }
-	}
-	res, elided := runElidable(sys, report, aud, el)
-	out := RunResult{
-		Injection:   inj,
-		Outcome:     classify(res, report),
-		Triggered:   triggered,
-		TestsFailed: report.Failed,
-		Reason:      res.Reason,
-		Seed:        seed,
-	}
-	if !elided && res.Outcome == kernel.OutcomeCompleted {
-		// An elided run skips the final audit pass: its elision gates
-		// already required every prior pass plus a barrier-time pass to
-		// be clean, and the spliced suffix is the pathfinder's audited
-		// fault-free tail.
-		aud.Final()
-	}
-	out.Consistent = aud.Consistent()
-	for _, v := range aud.Violations() {
-		out.Violations = append(out.Violations, v.String())
-	}
-	return out
+	return singleResult(inj, singleShape.cold(Exec{}, policy, seed, []MultiInjection{{Injection: inj}}, ipc))
 }
 
 // applyFault manifests one armed fault inside the faulty component's
@@ -445,10 +381,14 @@ func applyFault(sys *boot.System, ep kernel.Endpoint, t FaultType, rng *sim.RNG)
 }
 
 // classify maps a run result and suite report to the paper's four
-// outcome classes.
-func classify(res kernel.Result, report *testsuite.Report) Outcome {
+// outcome classes, plus degraded-pass for a completed run that survived
+// only by quarantining a component (degraded; multi-fault runs only).
+func classify(res kernel.Result, report *testsuite.Report, degraded bool) Outcome {
 	switch res.Outcome {
 	case kernel.OutcomeCompleted:
+		if degraded {
+			return OutcomeDegradedPass
+		}
 		if report.Complete() && report.Failed == 0 {
 			return OutcomePass
 		}
@@ -496,10 +436,11 @@ type CampaignConfig struct {
 	// replayable traces.
 	OnResult func(index int, rr RunResult)
 	// OnServe, when set, observes every run's serving decision in plan
-	// order alongside OnResult: how the run was served (cold boot, warm
-	// rung fork, tail elision or journal — see ServingCold and friends).
-	// The faultcampaign -record flag stores it in the trace for
-	// provenance.
+	// order alongside OnResult: how the run was served, rendered as
+	// "cold:<fallback reason>", "rung:<idx> elided:<barrier>",
+	// "rung:<idx> full:<elision fallback reason>" or "journal". The
+	// faultcampaign -record flag stores it in the trace (Trace.Serving)
+	// for provenance.
 	OnServe func(index int, decision string)
 }
 
@@ -607,36 +548,24 @@ func RunCampaign(cfg CampaignConfig, profile []SiteProfile) CampaignResult {
 // the boot barrier, or fell back to cold boots (and why). The campaign
 // result is identical to RunCampaign's.
 func RunCampaignWithStats(cfg CampaignConfig, profile []SiteProfile) (CampaignResult, PlaneStats) {
-	plan := PlanCampaign(cfg, profile)
+	return runCampaign(cfg, PlanCampaign(cfg, profile), newRunner(singleShape, cfg.Policy, cfg.Seed, cfg.Exec))
+}
+
+// runCampaign serves plan on r, opening r for the plan's configuration
+// classes and closing it when done.
+func runCampaign(cfg CampaignConfig, plan []Injection, r *runner) (CampaignResult, PlaneStats) {
+	r.openSingle(cfg.IPC, plan)
+	defer r.close()
+	f := fanout[RunResult]{cfg.Workers, cfg.Journal, (*Journal).LookupRun, (*Journal).RecordRun, cfg.OnServe, cfg.OnResult}
+	results, stats := f.run(len(plan), func(i int) (RunResult, serving) {
+		return r.single(cfg.Seed+uint64(i)*7919, plan[i], cfg.IPC)
+	})
 	result := CampaignResult{
 		Policy: cfg.Policy,
 		Model:  cfg.Model,
 		Counts: make(map[Outcome]int),
 	}
-	runner := newSingleRunner(cfg, plan)
-	defer runner.close()
-	decisions := make([]string, len(plan))
-	results := parallel.Map(cfg.Workers, len(plan), func(i int) RunResult {
-		if cfg.Journal != nil {
-			if rr, ok := cfg.Journal.LookupRun(i); ok {
-				decisions[i] = ServingJournal
-				return rr
-			}
-		}
-		rr, decision := runner.runOne(cfg.Seed+uint64(i)*7919, plan[i])
-		decisions[i] = decision
-		if cfg.Journal != nil {
-			cfg.Journal.RecordRun(i, rr)
-		}
-		return rr
-	})
-	for i, rr := range results {
-		if cfg.OnServe != nil {
-			cfg.OnServe(i, decisions[i])
-		}
-		if cfg.OnResult != nil {
-			cfg.OnResult(i, rr)
-		}
+	for _, rr := range results {
 		if !rr.Triggered {
 			result.Untriggered++
 			continue
@@ -649,7 +578,7 @@ func RunCampaignWithStats(cfg CampaignConfig, profile []SiteProfile) (CampaignRe
 			result.InconsistentSeeds = append(result.InconsistentSeeds, rr.Seed)
 		}
 	}
-	return result, runner.stats.snapshot()
+	return result, stats
 }
 
 // ArmedRunner exposes the campaign warm plane run-by-run: it serves
@@ -658,23 +587,36 @@ func RunCampaignWithStats(cfg CampaignConfig, profile []SiteProfile) (CampaignRe
 // Benchmarks use it to isolate the armed-run phase from plane setup;
 // Close tears down the pathfinder machines when done.
 type ArmedRunner struct {
-	r *campaignRunner
+	r   *runner
+	ipc IPCOptions
+	mu  sync.Mutex
+	// stats folds the serving decisions of the runs served so far.
+	stats PlaneStats
 }
 
 // NewArmedRunner builds the warm plane for cfg over the given plan
 // (typically PlanCampaign's output).
 func NewArmedRunner(cfg CampaignConfig, plan []Injection) *ArmedRunner {
-	return &ArmedRunner{r: newSingleRunner(cfg, plan)}
+	r := newRunner(singleShape, cfg.Policy, cfg.Seed, cfg.Exec)
+	r.openSingle(cfg.IPC, plan)
+	return &ArmedRunner{r: r, ipc: cfg.IPC}
 }
 
 // Run executes one armed run with the given per-run seed.
 func (a *ArmedRunner) Run(seed uint64, inj Injection) RunResult {
-	rr, _ := a.r.runOne(seed, inj)
+	rr, s := a.r.single(seed, inj, a.ipc)
+	a.mu.Lock()
+	a.stats.add(s)
+	a.mu.Unlock()
 	return rr
 }
 
 // Stats returns the serving statistics accumulated so far.
-func (a *ArmedRunner) Stats() PlaneStats { return a.r.stats.snapshot() }
+func (a *ArmedRunner) Stats() PlaneStats {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.stats.clone()
+}
 
 // Close tears down the plane's pathfinder machines.
 func (a *ArmedRunner) Close() { a.r.close() }

@@ -1,13 +1,9 @@
 package faultinject
 
 import (
-	"repro/internal/audit"
-	"repro/internal/boot"
 	"repro/internal/core"
 	"repro/internal/kernel"
-	"repro/internal/parallel"
 	"repro/internal/seep"
-	"repro/internal/testsuite"
 )
 
 // IPCOptions configures transport fault interposition and the
@@ -54,52 +50,6 @@ func (o IPCOptions) apply(cfg core.Config, runSeed uint64) core.Config {
 	return cfg
 }
 
-// RunBackground boots the machine with only background transport faults
-// (no planned component fault), runs the prototype suite and classifies
-// the outcome. Unlike single-fault injections, background rates fire
-// repeatedly, so the cascade sequencer stays enabled as in RunMulti.
-func RunBackground(policy seep.Policy, seed uint64, ipc IPCOptions) RunResult {
-	return runBackgroundCold(Exec{}, policy, seed, ipc)
-}
-
-// runBackgroundCold is RunBackground on a machine carrying exec's
-// machine-level switches.
-func runBackgroundCold(exec Exec, policy seep.Policy, seed uint64, ipc IPCOptions) RunResult {
-	var report testsuite.Report
-	ipc = ipc.normalized(false)
-	sys := bootSuite(exec.machine(multiFaultConfig(policy, seed, ipc)), &report)
-	return finishRunBackground(sys, &report, ipc, seed, nil)
-}
-
-// finishRunBackground runs the suite on a prepared machine — cold-booted
-// or forked from a warm image — and classifies the outcome. ipc must be
-// the normalized options the machine was configured with. A non-nil
-// elider (zero-rate warm forks only — no fault ever arms) lets the run
-// splice the pathfinder's tail at its first quiescence barrier.
-func finishRunBackground(sys *boot.System, report *testsuite.Report, ipc IPCOptions, seed uint64, el *elider) RunResult {
-	aud := audit.Attach(sys.OS)
-	if el != nil {
-		el.ready = func() bool { return true }
-	}
-	res, elided := runElidable(sys, report, aud, el)
-	out := RunResult{
-		Outcome:     classify(res, report),
-		Triggered:   ipc.Faults.Enabled(),
-		TestsFailed: report.Failed,
-		Reason:      res.Reason,
-		Seed:        seed,
-	}
-	if !elided && res.Outcome == kernel.OutcomeCompleted {
-		// See finishRunOne: the elision gates subsume the final pass.
-		aud.Final()
-	}
-	out.Consistent = aud.Consistent()
-	for _, v := range aud.Violations() {
-		out.Violations = append(out.Violations, v.String())
-	}
-	return out
-}
-
 // SweepPoint is one row of an IPC fault-rate sweep: all five fault
 // rates set to RateBP basis points each.
 type SweepPoint struct {
@@ -134,14 +84,17 @@ func (p SweepPoint) ConsistentPercent() float64 {
 // points, and reports survival and audited consistency per point.
 // Results are bit-identical for any worker count and any exec.
 func SweepIPC(policy seep.Policy, seed uint64, ratesBP []int, runs, workers int, exec Exec) []SweepPoint {
-	points, _ := SweepIPCWithStats(policy, seed, ratesBP, runs, workers, exec)
+	points, _ := sweepIPC(policy, seed, ratesBP, runs, workers, exec)
 	return points
 }
 
-// SweepIPCWithStats is SweepIPC plus the warm-plane serving statistics
-// (zero-rate runs fork from the ladder's deepest rung; rate points boot
-// cold). The sweep points are identical to SweepIPC's.
-func SweepIPCWithStats(policy seep.Policy, seed uint64, ratesBP []int, runs, workers int, exec Exec) ([]SweepPoint, PlaneStats) {
+// sweepIPC is SweepIPC plus the warm-plane serving statistics. Each
+// run is a background run — the empty plan on the multi-fault machine
+// configuration, classified into the paper's four classes. Zero-rate
+// points leave the transport untouched, so their runs fork the
+// deepest rung of one ladder; points with live rates draw per-run
+// fault placements during boot and boot cold (see warmboot.go).
+func sweepIPC(policy seep.Policy, seed uint64, ratesBP []int, runs, workers int, exec Exec) ([]SweepPoint, PlaneStats) {
 	if runs <= 0 {
 		runs = 5
 	}
@@ -152,21 +105,21 @@ func SweepIPCWithStats(policy seep.Policy, seed uint64, ratesBP []int, runs, wor
 			jobs = append(jobs, job{p, r})
 		}
 	}
-	// Zero-rate points leave the transport untouched, so their runs can
-	// fork one warm image; points with live rates draw per-run fault
-	// placements during boot and must boot cold (see warmboot.go).
-	runner := newBackgroundRunner(policy, seed, ratesBP, exec)
-	defer runner.close()
-	results := parallel.Map(workers, len(jobs), func(i int) RunResult {
-		j := jobs[i]
-		bp := ratesBP[j.point]
-		opts := IPCOptions{
+	rates := func(bp int) IPCOptions {
+		return IPCOptions{
 			Faults: kernel.IPCFaultConfig{
 				DropBP: bp, DupBP: bp, DelayBP: bp, ReorderBP: bp, CorruptBP: bp,
 			},
 			Seed: seed ^ 0x51EE9,
 		}
-		return runner.runBackground(seed+uint64(i)*15485863, opts)
+	}
+	r := newRunner(backgroundShape, policy, seed, exec)
+	for _, bp := range ratesBP {
+		r.open(rates(bp).normalized(false))
+	}
+	defer r.close()
+	results, stats := fanout[MultiRunResult]{workers: workers}.run(len(jobs), func(i int) (MultiRunResult, serving) {
+		return r.serve(seed+uint64(i)*15485863, nil, rates(ratesBP[jobs[i].point]))
 	})
 	points := make([]SweepPoint, len(ratesBP))
 	for i := range points {
@@ -182,5 +135,5 @@ func SweepIPCWithStats(policy seep.Policy, seed uint64, ratesBP []int, runs, wor
 			p.InconsistentSeeds = append(p.InconsistentSeeds, rr.Seed)
 		}
 	}
-	return points, runner.stats.snapshot()
+	return points, stats
 }

@@ -341,7 +341,7 @@ func TestTraceRecordReplay(t *testing.T) {
 		{Injection: Injection{Server: "pm", Site: "pm.getpid", Occurrence: 2, Type: FaultCrash}},
 		{Injection: Injection{Server: "pm", Site: "pm.getpid", Occurrence: 4, Type: FaultCrash}, Persistent: true},
 	}
-	mrr := RunMulti(seep.PolicyEnhanced, 11, injs)
+	mrr := RunMultiWith(seep.PolicyEnhanced, 11, injs, IPCOptions{})
 	mtr := NewMultiTrace(seep.PolicyEnhanced, mrr, IPCOptions{})
 	if err := WriteTraceFile(path, mtr); err != nil {
 		t.Fatal(err)
@@ -405,6 +405,48 @@ func TestCampaignOnResultSeesJournaledRuns(t *testing.T) {
 	for i, idx := range seen {
 		if idx != i {
 			t.Fatalf("OnResult order: got %v, want plan order", seen)
+		}
+	}
+}
+
+// TestTraceFileRejectsBadInput: ReadTraceFile accepts exactly one trace
+// record (trailing whitespace allowed) and rejects trailing data, unknown
+// fields and foreign formats.
+func TestTraceFileRejectsBadInput(t *testing.T) {
+	t.Parallel()
+	tr := NewTrace(seep.PolicyEnhanced, sampleRunResult(0), IPCOptions{})
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.json")
+	if err := WriteTraceFile(good, tr); err != nil {
+		t.Fatal(err)
+	}
+	valid, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadTraceFile(good); err != nil || !reflect.DeepEqual(got, tr) {
+		t.Fatalf("valid trace read back as %+v, %v", got, err)
+	}
+	for _, c := range []struct {
+		name string
+		data string
+		ok   bool
+	}{
+		{"TrailingWhitespace", string(valid) + "\n \t\n", true},
+		{"TrailingRecord", string(valid) + `{"garbage": 1}`, false},
+		{"TrailingJunk", string(valid) + `{"garbage": 1} trailing junk`, false},
+		{"TrailingBareWord", string(valid) + "junk", false},
+		{"SecondTrace", string(valid) + string(valid), false},
+		{"UnknownField", `{"Format": "osiris-trace/v1", "Bogus": 1}`, false},
+		{"ForeignFormat", `{"Format": "osiris-trace/v0"}`, false},
+		{"Empty", "", false},
+	} {
+		path := filepath.Join(dir, c.name+".json")
+		if err := os.WriteFile(path, []byte(c.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadTraceFile(path); (err == nil) != c.ok {
+			t.Errorf("%s: ReadTraceFile error = %v, want ok=%v", c.name, err, c.ok)
 		}
 	}
 }

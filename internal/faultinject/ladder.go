@@ -28,7 +28,6 @@ package faultinject
 // boot-barrier fork or a cold boot, preserving bit-identity.
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/audit"
@@ -58,116 +57,6 @@ const (
 	// FallbackForkFailed: materializing the fork failed.
 	FallbackForkFailed = "fork-failed"
 )
-
-// PlaneStats reports how the warm plane served a campaign. Outcomes are
-// bit-identical however runs are served; the serving split itself is
-// deterministic under an ample cache budget, but may vary with worker
-// interleaving when LRU eviction is active (different serve orders
-// evict different rungs).
-type PlaneStats struct {
-	// LadderForks counts runs forked from a mid-suite rung (>= 1).
-	LadderForks int
-	// BootForks counts runs forked from the post-install boot barrier.
-	BootForks int
-	// ColdBoots counts runs that fell back to a full cold boot.
-	ColdBoots int
-	// Fallbacks breaks ColdBoots down by reason.
-	Fallbacks map[string]int
-	// Elided counts warm-served runs that ended at a quiescence barrier
-	// by splicing the recorded pathfinder tail instead of re-executing
-	// the remaining suite suffix (see elide.go).
-	Elided int
-	// ElisionFallbacks breaks warm-served, fully-executed runs down by
-	// the elision fallback reason charged to each (the last blocker
-	// standing when the run completed). Elided plus the sum over
-	// ElisionFallbacks equals LadderForks plus BootForks: every warm run
-	// either elided its tail or is charged exactly one reason.
-	ElisionFallbacks map[string]int
-}
-
-// Total returns the number of runs the plane served.
-func (s PlaneStats) Total() int { return s.LadderForks + s.BootForks + s.ColdBoots }
-
-// FallbackReasons returns the fallback reasons in sorted order.
-func (s PlaneStats) FallbackReasons() []string {
-	out := make([]string, 0, len(s.Fallbacks))
-	for r := range s.Fallbacks {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ElisionFallbackReasons returns the elision fallback reasons in sorted
-// order.
-func (s PlaneStats) ElisionFallbackReasons() []string {
-	out := make([]string, 0, len(s.ElisionFallbacks))
-	for r := range s.ElisionFallbacks {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// statsCollector accumulates PlaneStats across concurrent runs.
-type statsCollector struct {
-	mu sync.Mutex
-	s  PlaneStats
-}
-
-func (c *statsCollector) fork(rung int) {
-	c.mu.Lock()
-	if rung > 0 {
-		c.s.LadderForks++
-	} else {
-		c.s.BootForks++
-	}
-	c.mu.Unlock()
-}
-
-func (c *statsCollector) cold(reason string) {
-	c.mu.Lock()
-	c.s.ColdBoots++
-	if c.s.Fallbacks == nil {
-		c.s.Fallbacks = make(map[string]int)
-	}
-	c.s.Fallbacks[reason]++
-	c.mu.Unlock()
-}
-
-func (c *statsCollector) elided() {
-	c.mu.Lock()
-	c.s.Elided++
-	c.mu.Unlock()
-}
-
-func (c *statsCollector) elisionFallback(reason string) {
-	c.mu.Lock()
-	if c.s.ElisionFallbacks == nil {
-		c.s.ElisionFallbacks = make(map[string]int)
-	}
-	c.s.ElisionFallbacks[reason]++
-	c.mu.Unlock()
-}
-
-func (c *statsCollector) snapshot() PlaneStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := c.s
-	if c.s.Fallbacks != nil {
-		out.Fallbacks = make(map[string]int, len(c.s.Fallbacks))
-		for k, v := range c.s.Fallbacks {
-			out.Fallbacks[k] = v
-		}
-	}
-	if c.s.ElisionFallbacks != nil {
-		out.ElisionFallbacks = make(map[string]int, len(c.s.ElisionFallbacks))
-		for k, v := range c.s.ElisionFallbacks {
-			out.ElisionFallbacks[k] = v
-		}
-	}
-	return out
-}
 
 // siteKey identifies a fault site as (server, site).
 type siteKey [2]string
@@ -408,53 +297,67 @@ func (l *ladder) advance() {
 	}
 }
 
-// serve maps a set of plain armed (site, occurrence) pairs to the
-// deepest cached rung strictly before every trigger, walking the
-// pathfinder only as deep as this request needs. It returns the serving
-// rung's index, record and snapshot, with ok=false when any occurrence
-// is consumed before the boot barrier (the run must boot cold — PR 7
-// behavior). An empty site set serves rung 0: with no plain trigger to
-// anchor, only the boot barrier is known-sound.
-func (l *ladder) serve(keys []siteKey, occs []int) (int, rung, *boot.Snapshot, bool) {
+// serve picks the rung an armed plan forks from, walking the
+// pathfinder only as deep as the plan needs. With plain triggers it is
+// the deepest cached rung strictly before every one of them; a plan
+// with no plain trigger serves rung 0, because with no plain trigger to
+// anchor, only the boot barrier is known-sound; and the empty plan
+// (nothing armed: every rung is sound) serves the deepest cached rung
+// of the whole walk. It returns the serving rung's index, record and
+// snapshot, with ok=false when a plain occurrence is consumed before
+// the boot barrier (the run must boot cold).
+func (l *ladder) serve(injs []MultiInjection) (int, rung, *boot.Snapshot, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	best := -1
-	for j, key := range keys {
-		if occs[j]-l.rungs[0].counts[key] < 1 {
+	if len(injs) == 0 {
+		for l.sys != nil {
+			l.advance()
+		}
+		best = len(l.rungs) - 1
+	}
+	for _, inj := range injs {
+		if !inj.plain() {
+			continue
+		}
+		key, occ := siteKey{inj.Server, inj.Site}, inj.Occurrence
+		if occ-l.rungs[0].counts[key] < 1 {
 			return 0, rung{}, nil, false
 		}
-		for l.sys != nil && l.rungs[len(l.rungs)-1].counts[key] < occs[j] {
+		for l.sys != nil && l.rungs[len(l.rungs)-1].counts[key] < occ {
 			l.advance()
 		}
 		b := 0
 		for i := len(l.rungs) - 1; i >= 0; i-- {
-			if l.rungs[i].counts[key] < occs[j] {
+			if l.rungs[i].counts[key] < occ {
 				b = i
 				break
 			}
 		}
-		if best == -1 || b < best {
+		if best < 0 || b < best {
 			best = b
 		}
 	}
-	if best == -1 {
+	if best < 0 {
 		best = 0
 	}
 	idx, snap := l.cache.deepest(best)
 	return idx, l.rungs[idx], snap, true
 }
 
-// serveDeepest walks the full ladder and serves the deepest cached
-// rung. Fault-free runs (zero-rate sweep points) use it: any rung is
-// sound when nothing is armed.
-func (l *ladder) serveDeepest() (int, rung, *boot.Snapshot) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for l.sys != nil {
-		l.advance()
+// translate shifts the plan's plain occurrences into the rung's frame:
+// a fork starts counting site executions at the rung, not at machine
+// start. Correlated and during-recovery faults count from the first
+// recovery or restart — always after any plain trigger, hence after the
+// rung — so they are never translated.
+func (rg rung) translate(injs []MultiInjection) []MultiInjection {
+	warm := append([]MultiInjection(nil), injs...)
+	for i := range warm {
+		if warm[i].plain() {
+			warm[i].Occurrence -= rg.counts[siteKey{warm[i].Server, warm[i].Site}]
+		}
 	}
-	idx, snap := l.cache.deepest(len(l.rungs) - 1)
-	return idx, l.rungs[idx], snap
+	return warm
 }
 
 // elisionServe returns the rung record matching an armed run parked at

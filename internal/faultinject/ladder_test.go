@@ -145,7 +145,7 @@ func TestLadderRungCountsSeedIndependent(t *testing.T) {
 		if l == nil {
 			t.Fatalf("seed %d: pathfinder failed to reach the boot barrier", seed)
 		}
-		l.serveDeepest() // drive the walk to suite completion
+		l.serve(nil) // the empty plan drives the walk to suite completion
 		l.Close()
 		walks = append(walks, walk{seed, l.rungs})
 	}
@@ -208,7 +208,7 @@ func TestLadderFallbackBackgroundRates(t *testing.T) {
 	t.Parallel()
 	// A sweep with no zero-rate point: every run draws background fault
 	// placements during boot and must boot cold.
-	points, stats := SweepIPCWithStats(seep.PolicyEnhanced, 42, []int{25}, 2, 1, Exec{})
+	points, stats := sweepIPC(seep.PolicyEnhanced, 42, []int{25}, 2, 1, Exec{})
 	coldPoints := SweepIPC(seep.PolicyEnhanced, 42, []int{25}, 2, 1, Exec{ColdBoot: true})
 	if !reflect.DeepEqual(points, coldPoints) {
 		t.Errorf("rate-point sweep diverged:\ncold: %+v\nwarm: %+v", coldPoints, points)
@@ -256,28 +256,27 @@ func TestLadderFallbackOccurrenceWithinBoot(t *testing.T) {
 		t.Fatal("no site executes during boot; profile changed shape")
 	}
 	inj := Injection{Server: boot0.Server, Site: boot0.Site, Occurrence: 1, Type: FaultCrash}
-	cfg := CampaignConfig{Policy: seep.PolicyEnhanced, Model: FailStop, Seed: 42}
-	runner := newSingleRunner(cfg, []Injection{inj})
-	defer runner.close()
-	warmRR, _ := runner.runOne(99, inj)
+	r := newRunner(singleShape, seep.PolicyEnhanced, 42, Exec{})
+	r.openSingle(IPCOptions{}, []Injection{inj})
+	defer r.close()
+	warmRR, served := r.single(99, inj, IPCOptions{})
 	coldRR := RunOne(seep.PolicyEnhanced, 99, inj)
 	if !reflect.DeepEqual(coldRR, warmRR) {
 		t.Errorf("pre-barrier run diverged:\ncold: %+v\nwarm: %+v", coldRR, warmRR)
 	}
-	stats := runner.stats.snapshot()
-	if stats.Fallbacks[FallbackPreBarrier] != 1 || stats.ColdBoots != 1 {
-		t.Errorf("run not charged to %s: %+v", FallbackPreBarrier, stats)
+	if want := (serving{kind: servedCold, reason: FallbackPreBarrier}); served != want {
+		t.Errorf("run served %v, want %v", served, want)
 	}
 }
 
 func TestLadderFallbackForkFailed(t *testing.T) {
+	t.Parallel()
 	cfg, profile, coldRes := ladderTestPlan(t)
-	prev := forkSnapshot
-	forkSnapshot = func(*boot.Snapshot, boot.ForkParams, usr.Program) (*boot.System, error) {
+	r := newRunner(singleShape, cfg.Policy, cfg.Seed, cfg.Exec)
+	r.fork = func(*boot.Snapshot, boot.ForkParams, usr.Program, ...string) (*boot.System, error) {
 		return nil, errors.New("injected fork failure")
 	}
-	defer func() { forkSnapshot = prev }()
-	res, stats := RunCampaignWithStats(cfg, profile)
+	res, stats := runCampaign(cfg, PlanCampaign(cfg, profile), r)
 	if !reflect.DeepEqual(res, coldRes) {
 		t.Errorf("fork-failure campaign diverged:\ncold: %+v\nwarm: %+v", coldRes, res)
 	}
@@ -290,11 +289,11 @@ func TestLadderFallbackForkFailed(t *testing.T) {
 }
 
 func TestLadderFallbackCaptureFailed(t *testing.T) {
+	t.Parallel()
 	cfg, profile, coldRes := ladderTestPlan(t)
-	prev := buildLadder
-	buildLadder = func(core.Config, Exec) *ladder { return nil }
-	defer func() { buildLadder = prev }()
-	res, stats := RunCampaignWithStats(cfg, profile)
+	r := newRunner(singleShape, cfg.Policy, cfg.Seed, cfg.Exec)
+	r.build = func(core.Config, Exec) *ladder { return nil }
+	res, stats := runCampaign(cfg, PlanCampaign(cfg, profile), r)
 	if !reflect.DeepEqual(res, coldRes) {
 		t.Errorf("capture-failure campaign diverged:\ncold: %+v\nwarm: %+v", coldRes, res)
 	}
@@ -307,7 +306,7 @@ func TestLadderFallbackCaptureFailed(t *testing.T) {
 // rung and replay only the suite tail.
 func TestLadderServesBackgroundZeroRate(t *testing.T) {
 	t.Parallel()
-	points, stats := SweepIPCWithStats(seep.PolicyEnhanced, 42, []int{0}, 3, 1, Exec{})
+	points, stats := sweepIPC(seep.PolicyEnhanced, 42, []int{0}, 3, 1, Exec{})
 	coldPoints := SweepIPC(seep.PolicyEnhanced, 42, []int{0}, 3, 1, Exec{ColdBoot: true})
 	if !reflect.DeepEqual(points, coldPoints) {
 		t.Errorf("zero-rate sweep diverged:\ncold: %+v\nwarm: %+v", coldPoints, points)

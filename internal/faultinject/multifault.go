@@ -1,13 +1,8 @@
 package faultinject
 
 import (
-	"repro/internal/audit"
-	"repro/internal/boot"
-	"repro/internal/kernel"
-	"repro/internal/parallel"
 	"repro/internal/seep"
 	"repro/internal/sim"
-	"repro/internal/testsuite"
 )
 
 // Multi-fault campaigns go beyond the paper's one-failure-at-a-time
@@ -54,163 +49,13 @@ type MultiRunResult struct {
 	Violations []string
 }
 
-// RunMulti boots a fresh machine with the cascade sequencer enabled,
-// arms every injection, runs the suite and classifies the outcome.
-// Transport interposition stays off unless one of the injections is an
-// IPC fault.
-func RunMulti(policy seep.Policy, seed uint64, injs []MultiInjection) MultiRunResult {
-	return RunMultiWith(policy, seed, injs, IPCOptions{})
-}
-
-// RunMultiWith is RunMulti with transport fault options applied.
+// RunMultiWith boots a fresh machine with the cascade sequencer
+// enabled, arms every injection, runs the suite and classifies the
+// outcome, with transport fault options applied. Transport
+// interposition stays off unless ipc enables it or one of the
+// injections is an IPC fault.
 func RunMultiWith(policy seep.Policy, seed uint64, injs []MultiInjection, ipc IPCOptions) MultiRunResult {
-	return runMultiCold(Exec{}, policy, seed, injs, ipc)
-}
-
-// runMultiCold is RunMultiWith on a machine carrying exec's
-// machine-level switches.
-func runMultiCold(exec Exec, policy seep.Policy, seed uint64, injs []MultiInjection, ipc IPCOptions) MultiRunResult {
-	var report testsuite.Report
-	sys := bootSuite(exec.machine(multiFaultConfig(policy, seed, ipc.normalized(plansArmIPC(injs)))), &report)
-	return finishRunMulti(sys, &report, injs, seed, injs, nil)
-}
-
-// finishRunMulti arms every injection on a prepared machine —
-// cold-booted or forked from a warm image — runs the suite and
-// classifies the outcome. armed carries occurrences counted from the
-// machine's current position (equal to injs on cold boots; plain
-// occurrences shifted past the quiescence barrier on warm forks); the
-// result always reports injs as planned. A non-nil elider lets a warm
-// fork splice the pathfinder's recorded tail once every armed fault has
-// resolved (see elide.go); cold boots pass nil.
-func finishRunMulti(sys *boot.System, report *testsuite.Report, injs []MultiInjection, seed uint64, armed []MultiInjection, el *elider) MultiRunResult {
-	k := sys.Kernel()
-	rng := sim.NewRNG(seed ^ 0x3A17F0C57)
-	triggered := make([]bool, len(armed))
-	remaining := make([]int, len(armed))
-	for i, inj := range armed {
-		remaining[i] = inj.Occurrence
-	}
-
-	k.SetPointHook(func(ep kernel.Endpoint, name, site string) {
-		for i := range armed {
-			inj := &armed[i]
-			if inj.DuringRecovery || (triggered[i] && !inj.Persistent) {
-				continue
-			}
-			if name != inj.Server || site != inj.Site {
-				continue
-			}
-			if inj.Correlated && sys.Recoveries == 0 {
-				// Armed only once the first recovery has happened.
-				continue
-			}
-			if !triggered[i] {
-				remaining[i]--
-				if remaining[i] > 0 {
-					continue
-				}
-				triggered[i] = true
-			}
-			// At most one fault manifests per point execution; a crash
-			// unwinds the component anyway. A persistent fault keeps
-			// firing on every later execution of its site.
-			applyFault(sys, ep, inj.Type, rng)
-			return
-		}
-	})
-
-	restarts := 0
-	sys.SetRestartHook(func(ep kernel.Endpoint, attempt int) {
-		restarts++
-		for i := range armed {
-			inj := &armed[i]
-			if triggered[i] || !inj.DuringRecovery {
-				continue
-			}
-			if restarts < inj.Occurrence {
-				continue
-			}
-			triggered[i] = true
-			// The hook runs inside the restart sequence: this panic is a
-			// fault in the recovery path, forcing the sequencer to
-			// escalate (retry, then quarantine).
-			panic("edfi: injected fault in recovery path")
-		}
-	})
-
-	aud := audit.Attach(sys.OS)
-	if el != nil {
-		// The suffix is provably fault-free only when every fault that
-		// could still fire has resolved: persistent faults re-fire on
-		// every site execution, so they never elide; an untriggered
-		// correlated fault arms after the first recovery and could fire
-		// in the suffix, so it must have triggered too. During-recovery
-		// faults need a restart to fire, and with everything else
-		// triggered and quiesced no further restart can happen.
-		hasPersistent := false
-		for _, inj := range armed {
-			if inj.Persistent {
-				hasPersistent = true
-			}
-		}
-		el.ready = func() bool {
-			if hasPersistent {
-				return false
-			}
-			for i := range armed {
-				if !armed[i].DuringRecovery && !triggered[i] {
-					return false
-				}
-			}
-			return true
-		}
-	}
-	res, elided := runElidable(sys, report, aud, el)
-	nTriggered := 0
-	for _, tr := range triggered {
-		if tr {
-			nTriggered++
-		}
-	}
-	out := MultiRunResult{
-		Injections:  injs,
-		Outcome:     classifyMulti(res, report, sys.Quarantines),
-		Triggered:   nTriggered,
-		TestsFailed: report.Failed,
-		Recoveries:  sys.Recoveries,
-		Quarantines: sys.Quarantines,
-		Reason:      res.Reason,
-		Seed:        seed,
-	}
-	if !elided && res.Outcome == kernel.OutcomeCompleted {
-		// See finishRunOne: the elision gates subsume the final pass.
-		aud.Final()
-	}
-	out.Consistent = aud.Consistent()
-	for _, v := range aud.Violations() {
-		out.Violations = append(out.Violations, v.String())
-	}
-	return out
-}
-
-// classifyMulti extends the paper's four classes with degraded-pass:
-// the machine survived only by quarantining a component.
-func classifyMulti(res kernel.Result, report *testsuite.Report, quarantines int) Outcome {
-	switch res.Outcome {
-	case kernel.OutcomeCompleted:
-		if quarantines > 0 {
-			return OutcomeDegradedPass
-		}
-		if report.Complete() && report.Failed == 0 {
-			return OutcomePass
-		}
-		return OutcomeFail
-	case kernel.OutcomeShutdown:
-		return OutcomeShutdown
-	default:
-		return OutcomeCrash
-	}
+	return multiShape.cold(Exec{}, policy, seed, injs, ipc)
 }
 
 // MultiCampaignConfig parameterizes a multi-fault campaign.
@@ -357,6 +202,15 @@ func RunMultiCampaign(cfg MultiCampaignConfig, profile []SiteProfile) MultiCampa
 // RunMultiCampaign's.
 func RunMultiCampaignWithStats(cfg MultiCampaignConfig, profile []SiteProfile) (MultiCampaignResult, PlaneStats) {
 	plans := PlanMultiCampaign(cfg, profile)
+	r := newRunner(multiShape, cfg.Policy, cfg.Seed, cfg.Exec)
+	for _, plan := range plans {
+		r.open(cfg.IPC.normalized(plansArmIPC(plan)))
+	}
+	defer r.close()
+	f := fanout[MultiRunResult]{cfg.Workers, cfg.Journal, (*Journal).LookupMulti, (*Journal).RecordMulti, cfg.OnServe, cfg.OnResult}
+	results, stats := f.run(len(plans), func(i int) (MultiRunResult, serving) {
+		return r.serve(cfg.Seed+uint64(i)*104729, plans[i], cfg.IPC)
+	})
 	result := MultiCampaignResult{
 		Policy: cfg.Policy,
 		Model:  cfg.Model,
@@ -366,30 +220,7 @@ func RunMultiCampaignWithStats(cfg MultiCampaignConfig, profile []SiteProfile) (
 	if result.Faults < 2 {
 		result.Faults = 2
 	}
-	runner := newMultiRunner(cfg, plans)
-	defer runner.close()
-	decisions := make([]string, len(plans))
-	results := parallel.Map(cfg.Workers, len(plans), func(i int) MultiRunResult {
-		if cfg.Journal != nil {
-			if rr, ok := cfg.Journal.LookupMulti(i); ok {
-				decisions[i] = ServingJournal
-				return rr
-			}
-		}
-		rr, decision := runner.runMulti(cfg.Seed+uint64(i)*104729, plans[i])
-		decisions[i] = decision
-		if cfg.Journal != nil {
-			cfg.Journal.RecordMulti(i, rr)
-		}
-		return rr
-	})
-	for i, rr := range results {
-		if cfg.OnServe != nil {
-			cfg.OnServe(i, decisions[i])
-		}
-		if cfg.OnResult != nil {
-			cfg.OnResult(i, rr)
-		}
+	for _, rr := range results {
 		if rr.Triggered == 0 {
 			result.Untriggered++
 			continue
@@ -402,5 +233,5 @@ func RunMultiCampaignWithStats(cfg MultiCampaignConfig, profile []SiteProfile) (
 			result.InconsistentSeeds = append(result.InconsistentSeeds, rr.Seed)
 		}
 	}
-	return result, runner.stats.snapshot()
+	return result, stats
 }

@@ -12,8 +12,10 @@ package faultinject
 // non-reproducibility alarm the roadmap's consistency story relies on.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -186,17 +188,22 @@ func WriteTraceFile(path string, t Trace) error {
 	return os.Rename(tmp, path)
 }
 
-// ReadTraceFile reads one trace record.
+// ReadTraceFile reads one trace record. The file must hold exactly one
+// JSON value: unknown fields and trailing data after the record are
+// rejected.
 func ReadTraceFile(path string) (Trace, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Trace{}, err
 	}
 	var t Trace
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&t); err != nil {
 		return Trace{}, fmt.Errorf("faultinject: %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Trace{}, fmt.Errorf("faultinject: %s: trailing data after the trace record", path)
 	}
 	if t.Format != TraceFormat {
 		return Trace{}, fmt.Errorf("faultinject: %s: unsupported trace format %q", path, t.Format)
